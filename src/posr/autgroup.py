@@ -205,6 +205,8 @@ def find_nontrivial_automorphism(
 ) -> np.ndarray | None:
     """First non-identity automorphism found (optionally one fixing ``fix``),
     or None if the group (resp. the stabilizer of ``fix``) is trivial."""
+    if d.n == 0:
+        return None
     state = _SearchState(d, node_budget, stop_after_first=True)
     colors = Coloring.uniform(d.n).color
     num = 1

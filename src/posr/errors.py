@@ -55,3 +55,7 @@ class UnsupportedGroup(PosrError):
 
 class UnsupportedFormat(PosrError):
     pass
+
+
+class WitnessRejected(PosrError):
+    """A search kernel returned a witness that fails the independent re-check."""

@@ -1,80 +1,14 @@
-"""Loop-level kernel implementations.
+"""Loop-level kernel implementations: the rigidity test and the regular
+digraph search.
 
 Every function here is written in nopython-compatible style; the numba
 backend compiles these exact functions with @njit and the fallback backend
 runs them interpreted (see __init__).  Keeping a single source guarantees
-both paths produce bit-identical results.
+both paths produce bit-identical results.  Equitable refinement is not
+here: it is plain numpy code in ``__init__``.
 """
 
 import numpy as np
-
-
-def refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
-    """Coarsest equitable refinement of a coloring, canonically numbered.
-
-    Each pass ranks vertices by (current color, out-neighbor counts per
-    color, in-neighbor counts per color) and renumbers densely; the loop
-    stops when the class count is stable.  The numbering therefore depends
-    only on the digraph and the input coloring.
-    """
-    colors = colors0.astype(np.int64).copy()
-    order = np.empty(n, dtype=np.int64)
-    new_colors = np.empty(n, dtype=np.int64)
-    while True:
-        k = 0
-        for v in range(n):
-            if colors[v] + 1 > k:
-                k = colors[v] + 1
-        sig = np.zeros((n, 2 * k), dtype=np.int64)
-        for v in range(n):
-            for p in range(out_off[v], out_off[v + 1]):
-                sig[v, colors[out_flat[p]]] += 1
-            for p in range(in_off[v], in_off[v + 1]):
-                sig[v, k + colors[in_flat[p]]] += 1
-        # stable counting sort by color, then insertion sort each class by row
-        counts = np.zeros(k + 1, dtype=np.int64)
-        for v in range(n):
-            counts[colors[v] + 1] += 1
-        for c in range(k):
-            counts[c + 1] += counts[c]
-        pos = counts.copy()
-        for v in range(n):
-            order[pos[colors[v]]] = v
-            pos[colors[v]] += 1
-        for c in range(k):
-            lo, hi = counts[c], counts[c + 1]
-            for i in range(lo + 1, hi):
-                v = order[i]
-                j = i - 1
-                while j >= lo:
-                    u = order[j]
-                    greater = False
-                    for col in range(2 * k):
-                        if sig[u, col] != sig[v, col]:
-                            greater = sig[u, col] > sig[v, col]
-                            break
-                    if not greater:
-                        break
-                    order[j + 1] = u
-                    j -= 1
-                order[j + 1] = v
-        # dense rank over the sorted sequence
-        rank = 0
-        new_colors[order[0]] = 0
-        for i in range(1, n):
-            u, v = order[i - 1], order[i]
-            differs = colors[u] != colors[v]
-            if not differs:
-                for col in range(2 * k):
-                    if sig[u, col] != sig[v, col]:
-                        differs = True
-                        break
-            if differs:
-                rank += 1
-            new_colors[v] = rank
-        if rank + 1 == k:
-            return new_colors.copy()
-        colors[:] = new_colors
 
 
 def has_nontrivial_automorphism(n, out_mask):

@@ -25,7 +25,7 @@ from .cayley import (
     sets_oriented,
     validate_sets,
 )
-from .errors import InvalidParameter
+from .errors import InvalidParameter, WitnessRejected
 from .groups import GroupTable, group_automorphisms
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -143,6 +143,24 @@ def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
     return _orbit_of(res.generators, 0, pd.digraph.n) == set(range(g.order))
 
 
+def _subset_image_table(auts, subsets: list[tuple], n: int, k: int) -> np.ndarray:
+    """``maps[a, i]`` is the index in ``subsets`` (all k-subsets of range(n)
+    in ``combinations`` order) of the image of subset i under ``auts[a]``.
+
+    A sorted subset read as a base-n number keeps the lexicographic order of
+    ``combinations``, so each row is a ``searchsorted`` of the images'
+    numbers into the subsets' numbers; one automorphism at a time keeps the
+    temporaries to one row.
+    """
+    members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k)
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = members @ place
+    maps = np.empty((len(auts), len(subsets)), dtype=np.int32)
+    for a, sigma in enumerate(auts):
+        maps[a] = np.searchsorted(keys, np.sort(sigma[members], axis=1) @ place)
+    return maps
+
+
 def _aut_orbit_filter(g: GroupTable, valency: int):
     """Representative predicate for m=2 candidates under Aut(G).
 
@@ -150,13 +168,9 @@ def _aut_orbit_filter(g: GroupTable, valency: int):
     maps it to (sigma A, sigma B), an isomorphic digraph.  Keep a candidate
     iff its subset-index pair is lexicographically minimal in its orbit.
     """
-    auts = group_automorphisms(g)
     subsets = list(combinations(range(g.order), valency))
     index = {s: i for i, s in enumerate(subsets)}
-    maps = np.empty((len(auts), len(subsets)), dtype=np.int64)
-    for a, sigma in enumerate(auts):
-        for i, s in enumerate(subsets):
-            maps[a, i] = index[tuple(sorted(int(sigma[e]) for e in s))]
+    maps = _subset_image_table(group_automorphisms(g), subsets, g.order, valency)
 
     def is_representative(ai: int, bi: int) -> bool:
         ma = maps[:, ai]
@@ -294,7 +308,11 @@ def exists_antisymmetric_kregular(
         if status == 1:
             d = _mask_digraph(m, masks)
             # re-verify through the solver before trusting the kernel
-            assert automorphism_group(d).order == 1
-            assert d.out_degrees() == [k] * m and d.in_degrees() == [k] * m
+            if d.out_degrees() != [k] * m or d.in_degrees() != [k] * m:
+                raise WitnessRejected(f"kernel witness on {m} vertices is not {k}-regular")
+            if d.has_loops or oriented and any(d.has_arc(v, u) for u, v in d.arcs()):
+                raise WitnessRejected(f"kernel witness on {m} vertices has a loop or digon")
+            if automorphism_group(d).order != 1:
+                raise WitnessRejected(f"kernel witness on {m} vertices is not rigid")
             return SearchOutcome("FoundWitness", d, examined, time.monotonic() - t0)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)

@@ -106,6 +106,12 @@ def test_find_nontrivial_automorphism_with_fix():
     assert find_nontrivial_automorphism(rigid) is None
 
 
+def test_empty_digraph_has_trivial_group():
+    empty = Digraph(0, [])
+    assert find_nontrivial_automorphism(empty) is None
+    assert automorphism_group(empty).order == 1
+
+
 def test_brute_force_limits_and_small_cases():
     assert len(brute_force_automorphisms(Digraph(3, [(0, 1), (1, 2), (2, 0)]))) == 3
     assert len(brute_force_automorphisms(Digraph(2, [(0, 1)]))) == 1

@@ -1,4 +1,5 @@
-"""Kernel backends: numba and the interpreted fallback must agree bit-for-bit."""
+"""Kernels: the numba and interpreted backends of the loop kernels must agree
+bit-for-bit, and the numpy refinement must match its reference loop."""
 
 from __future__ import annotations
 
@@ -10,12 +11,12 @@ import sys
 import numpy as np
 
 from posr import kernels
+from posr.autgroup import Coloring, is_equitable
 from posr.cayley import Digraph
 
 
-def random_digraph(rng, n):
-    arcs = [(u, v) for u in range(n) for v in range(n)
-            if u != v and rng.random() < 0.3]
+def random_digraph(rng, n, density):
+    arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
     return Digraph(n, arcs)
 
 
@@ -32,15 +33,117 @@ def test_env_flag_selects_fallback():
     assert out.stdout.strip() == "fallback"
 
 
-def test_refine_backends_identical():
+def reference_refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
+    """The interpreted refinement loop that numpy's ``refine_partition``
+    replaced, kept verbatim as its oracle."""
+    colors = colors0.astype(np.int64).copy()
+    order = np.empty(n, dtype=np.int64)
+    new_colors = np.empty(n, dtype=np.int64)
+    while True:
+        k = 0
+        for v in range(n):
+            if colors[v] + 1 > k:
+                k = colors[v] + 1
+        sig = np.zeros((n, 2 * k), dtype=np.int64)
+        for v in range(n):
+            for p in range(out_off[v], out_off[v + 1]):
+                sig[v, colors[out_flat[p]]] += 1
+            for p in range(in_off[v], in_off[v + 1]):
+                sig[v, k + colors[in_flat[p]]] += 1
+        # stable counting sort by color, then insertion sort each class by row
+        counts = np.zeros(k + 1, dtype=np.int64)
+        for v in range(n):
+            counts[colors[v] + 1] += 1
+        for c in range(k):
+            counts[c + 1] += counts[c]
+        pos = counts.copy()
+        for v in range(n):
+            order[pos[colors[v]]] = v
+            pos[colors[v]] += 1
+        for c in range(k):
+            lo, hi = counts[c], counts[c + 1]
+            for i in range(lo + 1, hi):
+                v = order[i]
+                j = i - 1
+                while j >= lo:
+                    u = order[j]
+                    greater = False
+                    for col in range(2 * k):
+                        if sig[u, col] != sig[v, col]:
+                            greater = sig[u, col] > sig[v, col]
+                            break
+                    if not greater:
+                        break
+                    order[j + 1] = u
+                    j -= 1
+                order[j + 1] = v
+        # dense rank over the sorted sequence
+        rank = 0
+        new_colors[order[0]] = 0
+        for i in range(1, n):
+            u, v = order[i - 1], order[i]
+            differs = colors[u] != colors[v]
+            if not differs:
+                for col in range(2 * k):
+                    if sig[u, col] != sig[v, col]:
+                        differs = True
+                        break
+            if differs:
+                rank += 1
+            new_colors[v] = rank
+        if rank + 1 == k:
+            return new_colors.copy()
+        colors[:] = new_colors
+
+
+def random_coloring(rng, n):
+    """A coloring of n vertices with classes numbered densely from 0."""
+    classes = rng.randint(1, 5)
+    raw = np.array([rng.randrange(classes) for _ in range(n)])
+    return np.unique(raw, return_inverse=True)[1].reshape(-1).astype(np.int64)
+
+
+def assert_refines_like_reference(d, colors):
+    got = kernels.refine_partition(d.n, *d.csr(), colors)
+    want = reference_refine_partition(d.n, *d.csr(), colors)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert is_equitable(d, Coloring(got, int(got.max()) + 1))
+
+
+def test_refine_matches_reference_on_random_digraphs():
     rng = random.Random(11)
-    for _ in range(60):
-        d = random_digraph(rng, rng.randint(1, 12))
-        of, oo, inf_, io_ = d.csr()
-        colors = np.zeros(d.n, dtype=np.int64)
-        a = kernels.refine_partition(d.n, of, oo, inf_, io_, colors)
-        b = kernels.fallback_refine_partition(d.n, of, oo, inf_, io_, colors)
-        assert np.array_equal(a, b)
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        d = random_digraph(rng, n, 0.4 * rng.random())
+        assert_refines_like_reference(d, np.zeros(n, dtype=np.int64))
+        assert_refines_like_reference(d, random_coloring(rng, n))
+
+
+def test_refine_matches_reference_on_directed_cycles():
+    for n in (1, 2, 7, 40, 150):
+        d = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+        assert_refines_like_reference(d, np.zeros(n, dtype=np.int64))
+        individualized = np.zeros(n, dtype=np.int64)
+        individualized[n // 2] = 1 if n > 1 else 0
+        assert_refines_like_reference(d, individualized)
+
+
+def test_refine_skipped_colors():
+    # an unused color number must not end refinement early: [2, 2, 2, 2]
+    # refines like the uniform coloring to an equitable coloring
+    d = Digraph(4, [(0, 3), (1, 2), (2, 0), (3, 2)])
+    for colors in ([2, 2, 2, 2], [0, 5, 5, 0]):
+        colors = np.array(colors, dtype=np.int64)
+        dense = np.unique(colors, return_inverse=True)[1].reshape(-1)
+        got = kernels.refine_partition(4, *d.csr(), colors)
+        assert np.array_equal(got, kernels.refine_partition(4, *d.csr(), dense))
+        assert is_equitable(d, Coloring(got, int(got.max()) + 1))
+
+
+def test_refine_empty_digraph():
+    d = Digraph(0, [])
+    out = kernels.refine_partition(0, *d.csr(), np.zeros(0, dtype=np.int64))
+    assert out.shape == (0,)
 
 
 def test_rigidity_backends_identical():

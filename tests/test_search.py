@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from posr import kernels
 from posr.cayley import validate_sets
-from posr.errors import InvalidParameter
-from posr.groups import group_from_token
+from posr.errors import InvalidParameter, WitnessRejected
+from posr.groups import group_automorphisms, group_from_token
 from posr.search import (
+    _subset_image_table,
     count_connection_sets,
     enumerate_connection_sets,
     exists_antisymmetric_kregular,
@@ -103,6 +108,67 @@ def test_aut_reduction_preserves_verdict():
     reduced = exists_mposr(g, 2, 3, "POSR", reduce_by_group_auts=True)
     assert plain.status == reduced.status == "ExhaustedNone"
     assert reduced.candidates_examined < plain.candidates_examined
+
+
+@pytest.mark.parametrize("token", ["quaternion8", "dihedral:8"])
+def test_subset_image_table_matches_definition(token):
+    g = group_from_token(token)
+    auts = group_automorphisms(g)
+    subsets = list(combinations(range(g.order), 3))
+    index = {s: i for i, s in enumerate(subsets)}
+    maps = _subset_image_table(auts, subsets, g.order, 3)
+    assert maps.dtype == np.int32 and maps.shape == (len(auts), len(subsets))
+    for a, sigma in enumerate(auts):
+        for i, s in enumerate(subsets):
+            assert maps[a, i] == index[tuple(sorted(int(sigma[e]) for e in s))]
+
+
+@pytest.mark.parametrize("token, status, examined, witness", [
+    pytest.param("cyclic:2", "ExhaustedNone", 0, None, id="cyclic:2"),
+    pytest.param("quaternion8", "ExhaustedNone", 163, None, id="quaternion8"),
+    pytest.param("dihedral:8", "FoundWitness", 31, [[[], [0, 1, 2]], [[1, 4, 5], []]],
+                 id="dihedral:8"),
+    pytest.param("smallgroup:32:2", "FoundWitness", 243, [[[], [0, 1, 2]], [[1, 2, 4], []]],
+                 id="smallgroup:32:2"),
+])
+def test_aut_reduced_search_results(token, status, examined, witness):
+    out = exists_mposr(group_from_token(token), 2, 3, "POSR", reduce_by_group_auts=True)
+    assert out.status == status
+    assert out.candidates_examined == examined
+    assert (out.witness.to_json()["sets"] if out.witness else None) == witness
+
+
+def _fake_kernel_witness(masks):
+    def search(m, k, oriented, lo, hi, budget):
+        return 1, 1, np.asarray(masks, dtype=np.int64)
+    return search
+
+
+def _masks(m, arcs):
+    masks = [0] * m
+    for u, v in arcs:
+        masks[u] |= 1 << v
+    return masks
+
+
+def test_kernel_witness_rechecked(monkeypatch):
+    rigid = exists_antisymmetric_kregular(6, 3, False).witness
+    # not regular: only vertex 0 has out-arcs
+    monkeypatch.setattr(kernels, "regular_digraph_search",
+                        _fake_kernel_witness(_masks(7, [(0, 1), (0, 2), (0, 3)])))
+    with pytest.raises(WitnessRejected, match="regular"):
+        exists_antisymmetric_kregular(7, 3, True)
+    # 3-regular and oriented, but the circulant Cay(Z7, {1, 2, 4}) is not rigid
+    circulant = [(v, (v + s) % 7) for v in range(7) for s in (1, 2, 4)]
+    monkeypatch.setattr(kernels, "regular_digraph_search",
+                        _fake_kernel_witness(_masks(7, circulant)))
+    with pytest.raises(WitnessRejected, match="rigid"):
+        exists_antisymmetric_kregular(7, 3, True)
+    # a rigid 3-regular digraph on 6 vertices must have a digon
+    monkeypatch.setattr(kernels, "regular_digraph_search",
+                        _fake_kernel_witness(_masks(6, rigid.arcs())))
+    with pytest.raises(WitnessRejected, match="digon"):
+        exists_antisymmetric_kregular(6, 3, True)
 
 
 def test_antisymmetric_small_orders():
