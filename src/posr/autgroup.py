@@ -4,22 +4,27 @@ The solver is classic individualization-refinement: refine a uniform
 coloring to its coarsest equitable refinement, branch on the first smallest
 non-singleton color class, and compare each discrete leaf against the first
 one.  The initial coloring is always uniform: part information is never
-seeded, the solver has to rediscover that automorphisms preserve parts.
+seeded as colors, the solver has to rediscover that automorphisms preserve
+parts.
 
-Exact group orders come from a deterministic Schreier-Sims stabilizer
-chain over the returned generators.
+``automorphism_group`` searches from scratch and takes exact group orders
+from a deterministic Schreier-Sims stabilizer chain over the generators it
+returns.  ``aut_is_translations`` decides whether a Cayley digraph is a
+representation with one pass instead: it seeds the known orbits of the
+right translations R(G) (the parts) into the depth-0 orbit pruning and
+stops at the first automorphism found, which necessarily lies outside R(G).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from . import kernels
 from .cayley import Digraph, PartitionedDigraph, is_digraph_automorphism, right_translations
-from .errors import BudgetExceeded, TooLarge
+from .errors import BudgetExceeded, InvalidParameter, TooLarge
 from .groups import GroupTable
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -29,11 +34,10 @@ DEFAULT_NODE_BUDGET = 100_000_000
 class Coloring:
     color: np.ndarray
     num_colors: int
-    equitable: bool = False
 
     @staticmethod
     def uniform(n: int) -> "Coloring":
-        return Coloring(np.zeros(n, dtype=np.int64), 1, False)
+        return Coloring(np.zeros(n, dtype=np.int64), 1)
 
 
 def equitable_refine(d: Digraph, initial: Coloring) -> Coloring:
@@ -41,7 +45,7 @@ def equitable_refine(d: Digraph, initial: Coloring) -> Coloring:
     in-color-degrees, with deterministic color numbering."""
     of, oo, inf_, io_ = d.csr()
     colors = kernels.refine_partition(d.n, of, oo, inf_, io_, initial.color)
-    return Coloring(colors, int(colors.max()) + 1 if d.n else 0, True)
+    return Coloring(colors, int(colors.max()) + 1 if d.n else 0)
 
 
 def is_equitable(d: Digraph, coloring: Coloring) -> bool:
@@ -64,13 +68,6 @@ class AutGroupResult:
     order: int
     base: list
 
-    def contains_permutation(self, perm) -> bool:
-        chain = StabilizerChain(len(perm))
-        for g in self.generators:
-            chain.add_generator(np.asarray(g, dtype=np.int64))
-        residue, _ = chain.sift(np.asarray(perm, dtype=np.int64))
-        return bool(np.array_equal(residue, np.arange(len(perm))))
-
 
 @dataclass
 class RepVerdict:
@@ -81,21 +78,21 @@ class RepVerdict:
 
 class _SearchState:
     __slots__ = ("d", "n", "first_leaf", "trace", "gens", "parent", "nodes",
-                 "budget", "stop_after_first", "trace_cb")
+                 "budget", "stop_after_first")
 
-    def __init__(self, d: Digraph, budget: int, stop_after_first: bool, trace_cb=None):
+    def __init__(self, d: Digraph, budget: int, stop_after_first: bool, part_size: int = 1):
         self.d = d
         self.n = d.n
         self.first_leaf = None
         self.trace: dict[int, tuple] = {}
         self.gens: list[np.ndarray] = []
-        self.parent = np.arange(d.n)
+        # each block [i*part_size, (i+1)*part_size) starts as one known orbit
+        self.parent = np.arange(d.n) // part_size * part_size
         self.nodes = 0
         self.budget = budget
         self.stop_after_first = stop_after_first
-        self.trace_cb = trace_cb
 
-    # union-find over vertex orbits of found generators
+    # union-find over vertex orbits of the seeded group and found generators
     def _find(self, v: int) -> int:
         while self.parent[v] != v:
             self.parent[v] = self.parent[self.parent[v]]
@@ -138,8 +135,6 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
     if state.nodes > state.budget:
         raise BudgetExceeded(f"automorphism search exceeded {state.budget} nodes")
     inv = (num_colors, _class_sizes(colors, num_colors))
-    if state.trace_cb is not None:
-        state.trace_cb(depth, inv)
     if state.first_leaf is None:
         state.trace[depth] = inv
     elif state.trace.get(depth) != inv:
@@ -155,9 +150,10 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
         pos_here[colors] = np.arange(state.n)
         perm[:] = pos_here[state.first_leaf]
         if not np.array_equal(perm, np.arange(state.n)) and is_digraph_automorphism(state.d, perm):
-            state._record(perm)
             if state.stop_after_first:
+                state.gens.append(perm)
                 return True
+            state._record(perm)
         return False
     cell = _target_cell(colors, num_colors)
     members = np.nonzero(colors == cell)[0]
@@ -184,12 +180,11 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
 def automorphism_group(
     d: Digraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    trace_cb=None,
 ) -> AutGroupResult:
     """Generators and exact order of Aut(d), starting from a uniform coloring."""
     if d.n == 0:
         return AutGroupResult([], 1, [])
-    state = _SearchState(d, node_budget, stop_after_first=False, trace_cb=trace_cb)
+    state = _SearchState(d, node_budget, stop_after_first=False)
     root = equitable_refine(d, Coloring.uniform(d.n))
     _search(state, root.color, root.num_colors, 0)
     chain = StabilizerChain(d.n)
@@ -200,21 +195,33 @@ def automorphism_group(
 
 def find_nontrivial_automorphism(
     d: Digraph,
-    fix: int | None = None,
+    part_size: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> np.ndarray | None:
-    """First non-identity automorphism found (optionally one fixing ``fix``),
-    or None if the group (resp. the stabilizer of ``fix``) is trivial."""
+    """First automorphism found outside a known semiregular subgroup H of
+    Aut(d), or None if Aut(d) = H.
+
+    H is given by its orbits, the blocks ``[i*part_size, (i+1)*part_size)``:
+    it must act regularly on each block (as R(G) does on the parts of a
+    built Cayley digraph, with ``part_size = |G|``).  The default
+    ``part_size = 1`` is the trivial group, so the result is any non-identity
+    automorphism, or None if Aut(d) is trivial.
+
+    One search suffices.  Let v be the first-path vertex at depth 0.  Only H
+    is known, so depth 0 explores one vertex per block of v's cell (each cell
+    is Aut-invariant, hence a union of blocks).  An automorphism found under
+    v fixes v; one found under another block's vertex moves v to another
+    block; H contains neither.  Conversely, if Aut(d) != H then either the
+    stabilizer of v is nontrivial (the first-path subtree finds it), or some
+    automorphism moves v to another block, and composing it with an element
+    of H makes that block's explored vertex the image of v."""
+    if part_size < 1 or d.n % part_size:
+        raise InvalidParameter(f"part size {part_size} does not divide {d.n} vertices")
     if d.n == 0:
         return None
-    state = _SearchState(d, node_budget, stop_after_first=True)
-    colors = Coloring.uniform(d.n).color
-    num = 1
-    if fix is not None:
-        colors = _individualize(colors, num, fix)
-        num += 1
-    colors = kernels.refine_partition(d.n, *d.csr(), colors)
-    _search(state, colors, int(colors.max()) + 1, 0)
+    state = _SearchState(d, node_budget, stop_after_first=True, part_size=part_size)
+    root = equitable_refine(d, Coloring.uniform(d.n))
+    _search(state, root.color, root.num_colors, 0)
     return state.gens[0] if state.gens else None
 
 
@@ -246,28 +253,13 @@ def is_semiregular_rep(pd: PartitionedDigraph, g: GroupTable,
     return RepVerdict(False, res.order, witness)
 
 
-def is_semiregular_rep_shortcut(pd: PartitionedDigraph, g: GroupTable,
-                                node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Equivalent check: trivial stabilizer of vertex 0 and orbit = part 0."""
-    d = pd.digraph
-    if find_nontrivial_automorphism(d, fix=0, node_budget=node_budget) is not None:
-        return False
-    res = automorphism_group(d, node_budget=node_budget)
-    orbit = _orbit_of(res.generators, 0, d.n)
-    return orbit == set(range(g.order))
-
-
-def _orbit_of(gens, v: int, n: int) -> set[int]:
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for p in gens:
-            w = int(p[u])
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
+def aut_is_translations(pd: PartitionedDigraph,
+                        node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Same verdict as ``is_semiregular_rep(pd, g).is_representation`` for a
+    digraph built by ``build_cayley``, from one seeded search pass: R(G)'s
+    orbits are the parts, so Aut = R(G) iff no automorphism lies outside it."""
+    return find_nontrivial_automorphism(
+        pd.digraph, part_size=pd.group_order, node_budget=node_budget) is None
 
 
 def are_isomorphic(d1: Digraph, d2: Digraph,
@@ -344,6 +336,10 @@ class StabilizerChain:
         self.transversals: list[dict[int, np.ndarray]] = [
             {b: self.identity} for b in range(degree)
         ]
+        # the inverse of each transversal representative, stored on entry
+        self.inverses: list[dict[int, np.ndarray]] = [
+            {b: self.identity} for b in range(degree)
+        ]
 
     def base(self) -> list[int]:
         return [b for b in range(self.degree) if len(self.transversals[b]) > 1]
@@ -357,16 +353,18 @@ class StabilizerChain:
     def sift(self, perm: np.ndarray, start: int = 0):
         """Reduce ``perm`` through the chain; returns (residue, level)."""
         p = perm
-        for b in range(start, self.degree):
-            img = int(p[b])
-            rep = self.transversals[b].get(img)
-            if rep is None:
+        b = start
+        while True:
+            # a level whose point p fixes has the identity as representative
+            moved = np.flatnonzero(p[b:] != self.identity[b:])
+            if not moved.size:
+                return p, self.degree
+            b += int(moved[0])
+            rep_inv = self.inverses[b].get(int(p[b]))
+            if rep_inv is None:
                 return p, b
-            # compose: rep_inv applied after p
-            rep_inv = np.empty(self.degree, dtype=np.int64)
-            rep_inv[rep] = self.identity
-            p = rep_inv[p]
-        return p, self.degree
+            p = rep_inv[p]  # rep^-1 applied after p
+            b += 1
 
     def add_generator(self, perm: np.ndarray) -> None:
         perm = np.asarray(perm, dtype=np.int64)
@@ -386,6 +384,7 @@ class StabilizerChain:
         level = start
         while level >= 0:
             transversal = self.transversals[level]
+            inverses = self.inverses[level]
             frontier = sorted(transversal)
             dirty = False
             while frontier and not dirty:
@@ -396,12 +395,12 @@ class StabilizerChain:
                     comp = g[rep]  # apply rep, then g
                     if img not in transversal:
                         transversal[img] = comp
+                        inverses[img] = np.empty_like(comp)
+                        inverses[img][comp] = self.identity
                         frontier.append(img)
                         continue
                     # Schreier generator: transversal[img]^-1 after comp
-                    t_inv = np.empty(self.degree, dtype=np.int64)
-                    t_inv[transversal[img]] = self.identity
-                    s = t_inv[comp]
+                    s = comp if img == level else inverses[img][comp]
                     residue, lev = self.sift(s, start=level)
                     if lev < self.degree:
                         for b in range(level + 1, lev + 1):

@@ -15,15 +15,9 @@ from importlib import resources
 
 from .autgroup import automorphism_group, is_semiregular_rep
 from .cayley import ConnectionSets, Digraph, build_cayley, validate_sets
-from .errors import (
-    InvalidParameter,
-    NoCandidate,
-    OutOfRange,
-    PreconditionFailed,
-    UnsupportedGroup,
-)
+from .errors import BudgetExceeded, InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed
 from .groups import GroupSpec, GroupTable, group_from_token, in_phi, named_group
-from .search import SearchOutcome, exists_antisymmetric_kregular, exists_mposr
+from .search import exists_antisymmetric_kregular, exists_mposr
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +361,7 @@ class ClaimResult:
     elapsed: float
     detail: str = ""
     evidence: dict | None = None
+    out_of_budget: bool = False  # a Skip because a node or time budget ran out
 
     def to_json(self) -> dict:
         payload = {
@@ -387,6 +382,10 @@ class Report:
     @property
     def failures(self) -> list[ClaimResult]:
         return [r for r in self.results if r.status == "Fail"]
+
+    @property
+    def budget_skips(self) -> list[ClaimResult]:
+        return [r for r in self.results if r.out_of_budget]
 
     def counts(self) -> dict:
         out = {"Fail": 0, "Pass": 0, "Skip": 0}
@@ -425,10 +424,19 @@ def load_claims() -> list[Claim]:
 
 
 def _run_claim(claim: Claim, budget: SuiteBudget) -> ClaimResult:
+    """One claim's verdict; a node budget that runs out makes it a Skip."""
     t0 = time.monotonic()
+    try:
+        return _check_claim(claim, budget, t0)
+    except BudgetExceeded as exc:
+        return ClaimResult(claim.name, "Skip", time.monotonic() - t0,
+                           f"budget exceeded: {exc}", out_of_budget=True)
 
-    def done(status, detail="", evidence=None):
-        return ClaimResult(claim.name, status, time.monotonic() - t0, detail, evidence)
+
+def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
+    def done(status, detail="", evidence=None, out_of_budget=False):
+        return ClaimResult(claim.name, status, time.monotonic() - t0, detail, evidence,
+                           out_of_budget)
 
     if claim.expected == "rigid_digraph":
         d = fixed_digraph(claim.digraph)
@@ -485,7 +493,7 @@ def _run_claim(claim: Claim, budget: SuiteBudget) -> ClaimResult:
             return done("Pass", f"exhausted {outcome.candidates_examined} candidates")
         if outcome.status == "FoundWitness":
             return done("Fail", "counterexample witness found", outcome.to_json())
-        return done("Skip", "search aborted (budget)", outcome.to_json())
+        return done("Skip", "search aborted (budget)", outcome.to_json(), out_of_budget=True)
 
     raise InvalidParameter(f"unknown expected kind {claim.expected!r}")
 

@@ -10,7 +10,7 @@ them silently breaks the embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -224,8 +224,9 @@ def build_cayley(g: GroupTable, conn: ConnectionSets) -> PartitionedDigraph:
     return PartitionedDigraph(Digraph(conn.m * n, arcs), n, conn.m)
 
 
-def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> ValidationReport:
-    """Check the oriented / partite / regularity / connectivity conditions."""
+def set_conditions(g: GroupTable, conn: ConnectionSets,
+                   valency: int) -> tuple[bool, bool, bool]:
+    """(oriented, partite, regular), read off the connection sets alone."""
     conn.check_indices(g)
     m = conn.m
     oriented = True
@@ -239,8 +240,13 @@ def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> Validati
     regular = all(sum(row) == valency for row in sizes) and all(
         sum(sizes[i][j] for i in range(m)) == valency for j in range(m)
     )
+    return oriented, partite, regular
+
+
+def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> ValidationReport:
+    """Check the oriented / partite / regularity / connectivity conditions."""
     connected = build_cayley(g, conn).digraph.is_weakly_connected()
-    return ValidationReport(oriented, partite, regular, connected)
+    return ValidationReport(*set_conditions(g, conn, valency), connected)
 
 
 def sets_oriented(g: GroupTable, conn: ConnectionSets) -> bool:
@@ -269,11 +275,16 @@ def right_translations(g: GroupTable, m: int) -> list[np.ndarray]:
 
 
 def is_digraph_automorphism(d: Digraph, perm: np.ndarray) -> bool:
-    perm = np.asarray(perm)
-    for u in range(d.n):
-        if not np.array_equal(np.sort(perm[d.out_adj[u]]), d.out_adj[perm[u]]):
-            return False
-    return True
+    """Does the vertex permutation ``perm`` map the arc set onto itself?
+
+    Arcs are compared as keys u*n + v: the CSR order lists them sorted, and
+    a permutation maps distinct arcs to distinct keys, so the sorted image
+    keys equal the arc keys exactly when every image is an arc."""
+    perm = np.asarray(perm, dtype=np.int64)
+    out_flat, out_off, _, _ = d.csr()
+    src = np.repeat(np.arange(d.n, dtype=np.int64), np.diff(out_off))
+    image = np.sort(perm[src] * d.n + perm[out_flat])
+    return bool(np.array_equal(image, src * d.n + out_flat))
 
 
 def out_ball(d: Digraph, v: int, radius: int) -> list[set[int]]:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 claim failure (or witness found where the registry
-expects none), 2 usage error, 3 search aborted on budget.
+expects none), 2 usage error, 3 search aborted on budget (for ``verify``: no
+claim failed, but one was skipped because a budget ran out).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def _cmd_verify(args) -> int:
         print(_dump(report.to_json()))
     else:
         print(report.to_table())
-    return 1 if report.failures else 0
+    if report.failures:
+        return 1
+    return 3 if report.budget_skips else 0
 
 
 def _cmd_search(args) -> int:

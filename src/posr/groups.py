@@ -158,9 +158,6 @@ class GroupTable:
             if self.generates((a, b))
         ]
 
-    def element_word(self, e: int) -> str:
-        return self.words[e]
-
 
 def group_from_permutations(
     gens: Sequence[Sequence[int]],
@@ -349,17 +346,6 @@ def _quaternion8_gens():
     return _structural_regular_gens(elements, mul, [(1, 0), (0, 1)])
 
 
-def _c4_semidirect_c4_gens():
-    # elements x^a y^b, a,b in Z4; y x = x^-1 y
-    elements = [(a, b) for b in range(4) for a in range(4)]
-
-    def mul(u, v):
-        (a, b), (c, d) = u, v
-        return ((a + (c if b % 2 == 0 else -c)) % 4, (b + d) % 4)
-
-    return _structural_regular_gens(elements, mul, [(1, 0), (0, 1)])
-
-
 def _heisenberg27_gens():
     # upper unitriangular 3x3 over F3, coordinates (a, b, c)
     elements = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
@@ -497,11 +483,3 @@ def group_automorphisms(g: GroupTable) -> list[np.ndarray]:
         if ok:
             autos.append(phi)
     return autos
-
-
-def group_to_json(g: GroupTable) -> dict:
-    return {
-        "order": g.order,
-        "generators": [[lab, int(idx)] for lab, idx in g.generators],
-        "mult": g.mult.tolist(),
-    }

@@ -3,6 +3,12 @@ k-regular digraphs of small order.
 
 Candidate order is fixed and lexicographic, so nonexistence verdicts are
 reproducible and long runs can resume from an enumeration cursor.
+
+Each connection-set candidate is decided with one Cayley build and one
+seeded search pass (``autgroup.aut_is_translations``); ``naive`` mode
+computes the full automorphism group instead.  A witness is re-checked by
+``verify_witness``, which validates it again and recomputes Aut from
+scratch, before it is returned.
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels
-from .autgroup import automorphism_group, find_nontrivial_automorphism, _orbit_of
+from .autgroup import aut_is_translations, automorphism_group
 from .cayley import (
     ConnectionSets,
     Digraph,
-    PartitionedDigraph,
     build_cayley,
+    set_conditions,
     sets_oriented,
     validate_sets,
 )
@@ -125,22 +131,15 @@ def count_connection_sets(g: GroupTable, m: int, valency: int,
 
 def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
                       node_budget: int, naive: bool) -> bool:
-    """Full check of one candidate (the oriented pre-filter is the caller's)."""
-    report = validate_sets(g, conn, sum(conn.size_matrix()[0]))
-    if not (report.partite and report.regular):
-        return False
-    if kind == "POSR" and not report.oriented:
+    """Full check of one candidate (the oriented pre-filter is the caller's):
+    the set conditions, then one build and one solver pass."""
+    oriented, partite, regular = set_conditions(g, conn, sum(conn.size_matrix()[0]))
+    if not (partite and regular) or kind == "POSR" and not oriented:
         return False
     pd = build_cayley(g, conn)
     if naive:
         return automorphism_group(pd.digraph, node_budget=node_budget).order == g.order
-    # fast path: a nontrivial stabilizer of vertex(0,0) rules the candidate out
-    if find_nontrivial_automorphism(pd.digraph, fix=0, node_budget=node_budget) is not None:
-        return False
-    res = automorphism_group(pd.digraph, node_budget=node_budget)
-    if res.order != g.order:
-        return False
-    return _orbit_of(res.generators, 0, pd.digraph.n) == set(range(g.order))
+    return aut_is_translations(pd, node_budget=node_budget)
 
 
 def _subset_image_table(auts, subsets: list[tuple], n: int, k: int) -> np.ndarray:
@@ -235,6 +234,8 @@ def exists_mposr(
         if kind == "POSR" and not naive and not sets_oriented(g, conn):
             continue
         if _candidate_is_rep(g, conn, kind, node_budget, naive):
+            if not verify_witness(g, conn, kind, node_budget=node_budget):
+                raise WitnessRejected(f"witness {conn.sets} fails the independent re-check")
             return SearchOutcome("FoundWitness", conn, examined, time.monotonic() - t0)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)
 

@@ -12,6 +12,7 @@ from posr.autgroup import (
     Coloring,
     StabilizerChain,
     are_isomorphic,
+    aut_is_translations,
     automorphism_group,
     brute_force_automorphisms,
     equitable_refine,
@@ -19,10 +20,9 @@ from posr.autgroup import (
     group_order_from_generators,
     is_equitable,
     is_semiregular_rep,
-    is_semiregular_rep_shortcut,
 )
 from posr.cayley import ConnectionSets, Digraph, build_cayley, is_digraph_automorphism
-from posr.errors import TooLarge
+from posr.errors import InvalidParameter, TooLarge
 from posr.groups import group_from_token
 
 
@@ -95,15 +95,34 @@ def test_equitable_refinement_properties():
         assert np.array_equal(again.color, c.color)
 
 
-def test_find_nontrivial_automorphism_with_fix():
+def test_find_nontrivial_automorphism_seeded_parts():
     d = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
     p = find_nontrivial_automorphism(d)
     assert p is not None and is_digraph_automorphism(d, p)
-    # stabilizer of 0: swapping 2 and 3 remains
-    q = find_nontrivial_automorphism(d, fix=0)
-    assert q is not None and q[0] == 0
+    # seeded with H = <(0 1)(2 3)>, orbits {0, 1} and {2, 3}: Aut has order 8
+    # and the stabilizer of 0 (swapping 2 and 3) lies outside H
+    q = find_nontrivial_automorphism(d, part_size=2)
+    assert q is not None and is_digraph_automorphism(d, q)
+    assert q.tolist() not in ([0, 1, 2, 3], [1, 0, 3, 2])
+    # the directed 4-cycle 0-2-1-3 has H as its index-2 subgroup; every
+    # automorphism outside H exchanges the two blocks
+    c4 = Digraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+    r = find_nontrivial_automorphism(c4, part_size=2)
+    assert r is not None and is_digraph_automorphism(c4, r) and int(r[0]) in (2, 3)
     rigid = Digraph(3, [(0, 1), (1, 2)])
     assert find_nontrivial_automorphism(rigid) is None
+    for bad in (0, 3):
+        with pytest.raises(InvalidParameter):
+            find_nontrivial_automorphism(d, part_size=bad)
+    # a 2-POSR of Z7: Aut = R(Z7), so nothing lies outside the seeded copy,
+    # while the translations themselves are nontrivial automorphisms
+    g = group_from_token("cyclic:7")
+    conn = ConnectionSets.from_words(
+        g, 2, {(0, 1): ["1", "x", "x^2"], (1, 0): ["x", "x^3", "x^4"]}
+    )
+    cayley = build_cayley(g, conn).digraph
+    assert find_nontrivial_automorphism(cayley, part_size=7) is None
+    assert find_nontrivial_automorphism(cayley) is not None
 
 
 def test_empty_digraph_has_trivial_group():
@@ -167,24 +186,28 @@ def test_are_isomorphic_agrees_with_brute_force():
 
 
 def test_semiregular_rep_shortcut_agreement():
+    # the seeded one-pass check against the full unseeded computation, on
+    # random candidates with m up to 4 and loops from the diagonal cells
     rng = random.Random(5)
-    tokens = ["cyclic:5", "cyclic:7", "klein4", "dihedral:6", "dihedral:8", "quaternion8"]
-    checked = 0
-    while checked < 200:
+    tokens = ["cyclic:1", "cyclic:2", "cyclic:5", "cyclic:7", "klein4", "dihedral:6",
+              "dihedral:8", "quaternion8"]
+    outcomes = set()
+    for _ in range(300):
         g = group_from_token(rng.choice(tokens))
-        m = rng.choice([2, 3])
+        m = rng.choice([2, 3, 4])
         sets = [[[] for _ in range(m)] for _ in range(m)]
         for i in range(m):
             for j in range(m):
-                if i != j:
-                    k = rng.randint(0, min(3, g.order))
-                    sets[i][j] = rng.sample(range(g.order), k)
+                k = rng.randint(0, min(3 if i != j else 1, g.order))
+                sets[i][j] = rng.sample(range(g.order), k)
         pd = build_cayley(g, ConnectionSets.from_lists(m, sets))
         full = is_semiregular_rep(pd, g)
-        assert is_semiregular_rep_shortcut(pd, g) == full.is_representation
+        assert aut_is_translations(pd) == full.is_representation
         if not full.is_representation:
             assert full.aut_order != g.order
-        checked += 1
+        outcomes.add((g.order == 1, full.is_representation))
+    # both verdicts occur, for the trivial group and for the others
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_rep_verdict_reports_extra_automorphism():

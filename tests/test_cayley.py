@@ -114,6 +114,28 @@ def test_right_translations_are_automorphisms():
             assert is_digraph_automorphism(pd.digraph, perm)
 
 
+def reference_is_automorphism(d, perm):
+    """The per-vertex loop that the vectorised check replaced: the image of
+    each out-neighbourhood must be the image vertex's out-neighbourhood."""
+    for u in range(d.n):
+        if not np.array_equal(np.sort(perm[d.out_adj[u]]), d.out_adj[perm[u]]):
+            return False
+    return True
+
+
+def test_is_digraph_automorphism_matches_reference():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3])
+        perm = np.array(rng.sample(range(n), n), dtype=np.int64)
+        got = is_digraph_automorphism(d, perm)
+        assert got == reference_is_automorphism(d, perm)
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 def test_right_translations_form_semiregular_copy():
     g = group_from_token("dihedral:8")
     perms = right_translations(g, 2)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from posr import catalog
 from posr import io as pio
 from posr.catalog import cyclic_posr_sets, fixed_digraph
 from posr.cli import run
@@ -99,3 +100,25 @@ def test_verify_reports_known_failure(capsys):
     assert payload["counts"]["Fail"] == 1
     failing = [r["name"] for r in payload["results"] if r["status"] == "Fail"]
     assert failing == ["trivial-m6-pdr-none"]
+
+
+def test_verify_budget_exit_codes(monkeypatch, capsys):
+    # out of node budget: a Skip with the budget named, never a usage error;
+    # a failing claim still takes precedence
+    code = run(["verify", "--node-budget", "3", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    by_name = {r["name"]: r for r in payload["results"]}
+    assert by_name["trivial-m6-pdr-none"]["status"] == "Fail"
+    for name in ("cyclic7-m2-posr", "fig1_9-rigid", "quaternion8-m2-posr-none"):
+        assert by_name[name]["status"] == "Skip"
+        assert by_name[name]["detail"].startswith("budget exceeded")
+    load = catalog.load_claims
+    names = {"cyclic7-m2-posr", "fig1_9-rigid", "cyclic6-m2-posr-none"}
+    monkeypatch.setattr(catalog, "load_claims",
+                        lambda: [c for c in load() if c.name in names])
+    assert run(["verify", "--node-budget", "3"]) == 3
+    assert run(["verify", "--time-budget", "0"]) == 3  # the search aborts
+    assert run(["verify"]) == 0
+    table = capsys.readouterr().out
+    assert "budget exceeded" in table and "search aborted (budget)" in table

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,10 @@ def test_backend_reports():
 
 
 def test_env_flag_selects_fallback():
-    env = dict(os.environ, POSR_NO_NUMBA="1")
+    # the child imports posr from wherever this process found it
+    src = str(Path(kernels.__file__).parents[2])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, POSR_NO_NUMBA="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "from posr import kernels; print(kernels.BACKEND)"],
         capture_output=True, text=True, env=env, check=True,

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from posr import kernels
+from posr import cayley, kernels, search
 from posr.cayley import validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
@@ -132,10 +132,39 @@ def test_subset_image_table_matches_definition(token):
                  id="smallgroup:32:2"),
 ])
 def test_aut_reduced_search_results(token, status, examined, witness):
-    out = exists_mposr(group_from_token(token), 2, 3, "POSR", reduce_by_group_auts=True)
-    assert out.status == status
-    assert out.candidates_examined == examined
-    assert (out.witness.to_json()["sets"] if out.witness else None) == witness
+    # the seeded one-pass check and the full unseeded solver agree
+    for naive in (False, True):
+        out = exists_mposr(group_from_token(token), 2, 3, "POSR",
+                           reduce_by_group_auts=True, naive=naive)
+        assert out.status == status
+        assert out.candidates_examined == examined
+        assert (out.witness.to_json()["sets"] if out.witness else None) == witness
+
+
+def test_one_build_per_candidate(monkeypatch):
+    builds = []
+
+    def counting_build(g, conn):
+        builds.append(conn)
+        return build(g, conn)
+
+    build = cayley.build_cayley
+    monkeypatch.setattr(cayley, "build_cayley", counting_build)
+    monkeypatch.setattr(search, "build_cayley", counting_build)
+    g = group_from_token("cyclic:7")
+    for naive in (False, True):
+        for conn in list(enumerate_connection_sets(g, 2, 3))[:60]:
+            before = len(builds)
+            search._candidate_is_rep(g, conn, "PDR", 10**8, naive)
+            assert builds[before:] == [conn]
+
+
+def test_search_witness_rechecked(monkeypatch):
+    # a seeded check that accepts everything must not leak a witness: the
+    # unseeded re-check finds that cyclic:6 has no 2-POSR
+    monkeypatch.setattr(search, "aut_is_translations", lambda pd, node_budget: True)
+    with pytest.raises(WitnessRejected, match="re-check"):
+        exists_mposr(group_from_token("cyclic:6"), 2, 3, "POSR")
 
 
 def _fake_kernel_witness(masks):
