@@ -7,24 +7,35 @@ one.  The initial coloring is always uniform: part information is never
 seeded as colors, the solver has to rediscover that automorphisms preserve
 parts.
 
+Every node of the first path prunes its children by known orbits (McKay
+1981): a child in the orbit of an explored sibling is skipped.  Search is
+depth first, so each automorphism found before a first-path node finishes
+comes from that node's subtree and fixes its individualized prefix; their
+orbits are valid there.  At depth 0 the prefix is empty, so orbits of a
+known subgroup may be seeded too.
+
 ``automorphism_group`` searches from scratch and takes exact group orders
 from a deterministic Schreier-Sims stabilizer chain over the generators it
-returns.  ``aut_is_translations`` decides whether a Cayley digraph is a
-representation with one pass instead: it seeds the known orbits of the
-right translations R(G) (the parts) into the depth-0 orbit pruning and
-stops at the first automorphism found, which necessarily lies outside R(G).
+returns.  It checks that order against a second one, the product over the
+first path of each individualized vertex's orbit size under the generators
+that fix the vertices before it.  ``aut_is_translations`` decides whether a
+Cayley digraph is a representation with one pass instead: it seeds the known
+orbits of the right translations R(G) (the parts) into the depth-0 orbit
+pruning and stops at the first automorphism found, which necessarily lies
+outside R(G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
 from . import kernels
 from .cayley import Digraph, PartitionedDigraph, is_digraph_automorphism, right_translations
-from .errors import BudgetExceeded, InvalidParameter, TooLarge
+from .errors import BudgetExceeded, GroupOrderMismatch, InvalidParameter, TooLarge
 from .groups import GroupTable
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -76,9 +87,37 @@ class RepVerdict:
     witness_extra_automorphism: np.ndarray | None = None
 
 
+class _Orbits:
+    """Union-find over vertices; the root of each orbit is its least vertex
+    and holds the orbit's size.  Starts with each block
+    ``[i*block, (i+1)*block)`` as one orbit."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int, block: int = 1):
+        self.parent = (np.arange(n) // block * block).tolist()
+        self.size = [block] * n  # read at roots only
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def merge(self, perm: np.ndarray) -> None:
+        """Join the orbits that ``perm`` maps onto each other."""
+        for v, w in enumerate(perm.tolist()):
+            a, b = self.find(v), self.find(w)
+            if a != b:
+                lo, hi = min(a, b), max(a, b)
+                self.parent[hi] = lo
+                self.size[lo] += self.size[hi]
+
+
 class _SearchState:
-    __slots__ = ("d", "n", "first_leaf", "trace", "gens", "parent", "nodes",
-                 "budget", "stop_after_first")
+    __slots__ = ("d", "n", "first_leaf", "trace", "gens", "orbits", "seeded",
+                 "orbit_sizes", "nodes", "budget", "stop_after_first")
 
     def __init__(self, d: Digraph, budget: int, stop_after_first: bool, part_size: int = 1):
         self.d = d
@@ -86,28 +125,22 @@ class _SearchState:
         self.first_leaf = None
         self.trace: dict[int, tuple] = {}
         self.gens: list[np.ndarray] = []
-        # each block [i*part_size, (i+1)*part_size) starts as one known orbit
-        self.parent = np.arange(d.n) // part_size * part_size
+        # orbits of the found generators, which fix every first-path prefix
+        # still being explored
+        self.orbits = _Orbits(d.n)
+        # depth 0 only: the same joined with the seeded group's orbits
+        self.seeded = self.orbits if part_size == 1 else _Orbits(d.n, part_size)
+        # per finished first-path node, the orbit size of its first child
+        self.orbit_sizes: list[int] = []
         self.nodes = 0
         self.budget = budget
         self.stop_after_first = stop_after_first
 
-    # union-find over vertex orbits of the seeded group and found generators
-    def _find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return int(v)
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
     def _record(self, perm: np.ndarray) -> None:
         self.gens.append(perm)
-        for v in range(self.n):
-            self._union(v, int(perm[v]))
+        self.orbits.merge(perm)
+        if self.seeded is not self.orbits:
+            self.seeded.merge(perm)
 
 
 def _class_sizes(colors: np.ndarray, num_colors: int) -> tuple:
@@ -130,7 +163,14 @@ def _individualize(colors: np.ndarray, num_colors: int, v: int) -> np.ndarray:
 
 
 def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int) -> bool:
-    """Returns True when the search should stop early."""
+    """Explore the node with coloring ``colors``; returns True when the search
+    should stop early.
+
+    A first-path node skips every child in the orbit of an explored sibling:
+    under the seeded orbits at depth 0, deeper under the orbits of the
+    generators found so far, which all fix this node's prefix.  When it
+    finishes, those generators generate the prefix's pointwise stabilizer,
+    and the orbit size of its first child is recorded."""
     state.nodes += 1
     if state.nodes > state.budget:
         raise BudgetExceeded(f"automorphism search exceeded {state.budget} nodes")
@@ -156,24 +196,38 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
             state._record(perm)
         return False
     cell = _target_cell(colors, num_colors)
-    members = np.nonzero(colors == cell)[0]
-    processed: list[int] = []
+    members = np.nonzero(colors == cell)[0].tolist()
     on_first_path = state.first_leaf is None
     gens_before = len(state.gens)
+    orbits = state.seeded if depth == 0 else state.orbits
+    processed: list[int] = []
+    roots: set[int] = set()  # orbit roots of ``processed``
+    roots_gens = -1  # generator count when ``roots`` was last rebuilt
     for v in members:
-        v = int(v)
-        if depth == 0 and any(state._find(v) == state._find(u) for u in processed):
-            continue
+        # deeper than the root only found generators can prune, so a search
+        # that has found none does no orbit work there
+        if on_first_path and (depth == 0 or state.gens):
+            if roots_gens != len(state.gens):
+                roots = {orbits.find(u) for u in processed}
+                roots_gens = len(state.gens)
+            if orbits.find(v) in roots:
+                continue
         child = kernels.refine_partition(
             state.d.n, *state.d.csr(), _individualize(colors, num_colors, v)
         )
         if _search(state, child, int(child.max()) + 1, depth + 1):
             return True
-        if not on_first_path and len(state.gens) > gens_before:
+        if on_first_path:
+            processed.append(v)
+            roots.add(orbits.find(v))
+        elif len(state.gens) > gens_before:
             # off the first path an automorphism maps this subtree onto an
             # explored one, so backjump to the deepest first-path ancestor
             return False
-        processed.append(v)
+    if on_first_path:
+        # the generators found so far generate the stabilizer of this node's
+        # prefix, so this is the index of the next stabilizer in it
+        state.orbit_sizes.append(state.orbits.size[state.orbits.find(members[0])])
     return False
 
 
@@ -190,7 +244,12 @@ def automorphism_group(
     chain = StabilizerChain(d.n)
     for g in state.gens:
         chain.add_generator(g)
-    return AutGroupResult(state.gens, chain.order(), chain.base())
+    order = chain.order()
+    if prod(state.orbit_sizes) != order:
+        raise GroupOrderMismatch(
+            f"Schreier-Sims order {order} != first-path orbit product "
+            f"{prod(state.orbit_sizes)} on {d.n} vertices")
+    return AutGroupResult(state.gens, order, chain.base())
 
 
 def find_nontrivial_automorphism(

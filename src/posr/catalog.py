@@ -410,6 +410,10 @@ class Report:
 
 @dataclass(frozen=True)
 class SuiteBudget:
+    """Limits for one suite run.  ``node_budget`` bounds each search: IR
+    nodes per automorphism-solver call, and for the trivial group's
+    rigid-digraph searches the kernel's descents (per chunk when threaded)."""
+
     tier: str = "default"
     node_budget: int = 100_000_000
     time_budget_per_claim: float | None = None
@@ -480,7 +484,8 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
         if g.order == 1:
             outcome = exists_antisymmetric_kregular(
                 claim.m, claim.options.get("valency", 3),
-                oriented=claim.kind == "POSR", threads=budget.threads,
+                oriented=claim.kind == "POSR", node_budget=budget.node_budget,
+                threads=budget.threads,
             )
         else:
             outcome = exists_mposr(

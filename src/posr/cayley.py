@@ -112,9 +112,8 @@ class Digraph:
         if self._out_flat is None:
             self._out_off = np.zeros(self.n + 1, dtype=np.int64)
             self._in_off = np.zeros(self.n + 1, dtype=np.int64)
-            for v in range(self.n):
-                self._out_off[v + 1] = self._out_off[v] + len(self.out_adj[v])
-                self._in_off[v + 1] = self._in_off[v] + len(self.in_adj[v])
+            np.cumsum([len(a) for a in self.out_adj], out=self._out_off[1:])
+            np.cumsum([len(a) for a in self.in_adj], out=self._in_off[1:])
             self._out_flat = (
                 np.concatenate(self.out_adj).astype(np.int64)
                 if self.n_arcs else np.zeros(0, dtype=np.int64)

@@ -36,7 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=os.environ.get("POSR_TIER", "default"))
     p.add_argument("--output", choices=["json", "table"], default="table")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=100_000_000)
+    p.add_argument("--node-budget", type=int, default=100_000_000,
+                   help="per search: IR nodes of each automorphism-solver call, "
+                        "kernel descents of each rigid-digraph search")
     p.add_argument("--time-budget", type=float, default=None,
                    help="per-claim seconds before a claim is skipped")
 
@@ -90,6 +92,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.threads > 1 and not args.antisym:
+        print("error: --threads applies only with --antisym", file=sys.stderr)
+        return 2
     if args.antisym:
         outcome = exists_antisymmetric_kregular(
             args.m, args.valency, args.oriented, threads=args.threads

@@ -59,3 +59,7 @@ class UnsupportedFormat(PosrError):
 
 class WitnessRejected(PosrError):
     """A search kernel returned a witness that fails the independent re-check."""
+
+
+class GroupOrderMismatch(PosrError):
+    """Two independent computations of a group order disagree."""

@@ -31,7 +31,7 @@ from .cayley import (
     sets_oriented,
     validate_sets,
 )
-from .errors import InvalidParameter, WitnessRejected
+from .errors import InvalidParameter, TooLarge, WitnessRejected
 from .groups import GroupTable, group_automorphisms
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -269,10 +269,14 @@ def exists_antisymmetric_kregular(
     by any bijection sending the out-neighbors of any fixed vertex to 1..k),
     so the kernel fixes vertex 0's out-set; the rest of the tree is split by
     the rank of vertex 1's out-set combination, which gives deterministic,
-    independent chunks.
+    independent chunks.  ``node_budget`` counts the kernel's descents, per
+    chunk when threaded.
     """
     if m < 1 or k < 1:
         raise InvalidParameter("m and k must be >= 1")
+    if m >= 64:
+        # the kernel packs each out-set into an int64 bitmask
+        raise TooLarge(f"rigid-digraph search limited to 63 vertices, got {m}")
     t0 = time.monotonic()
     if m == 1 and k >= 1 or m - 1 < k:
         return SearchOutcome("ExhaustedNone", None, 0, time.monotonic() - t0)

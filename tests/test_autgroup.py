@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from posr.autgroup import (
     is_semiregular_rep,
 )
 from posr.cayley import ConnectionSets, Digraph, build_cayley, is_digraph_automorphism
-from posr.errors import InvalidParameter, TooLarge
+from posr import autgroup
+from posr.errors import GroupOrderMismatch, InvalidParameter, TooLarge
 from posr.groups import group_from_token
 
 
@@ -226,3 +228,35 @@ def test_uniform_initial_coloring_no_part_seed():
     # find them, which it cannot if parts were seeded as distinct colors
     d = Digraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])  # directed 4-cycle 0-2-1-3
     assert automorphism_group(d).order == 4
+
+
+def disjoint_triangles(k):
+    return Digraph(3 * k, [(3 * i + j, 3 * i + (j + 1) % 3)
+                           for i in range(k) for j in range(3)])
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_empty_digraph_pruned_at_every_level(n):
+    # orbit pruning on the whole first path: one generator per level, and
+    # about n - d nodes to find it at depth d
+    res = automorphism_group(Digraph(n, []), node_budget=n * (n + 1) // 2)
+    assert len(res.generators) == n - 1
+    assert res.order == factorial(n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_disjoint_triangles_few_generators(k):
+    d = disjoint_triangles(k)
+    for seed in range(3):
+        perm = list(range(3 * k))
+        random.Random(seed).shuffle(perm)
+        res = automorphism_group(d.relabel(perm))
+        assert res.order == 3 ** k * factorial(k)
+        assert len(res.generators) <= 2 * k
+
+
+def test_order_mismatch_raises(monkeypatch):
+    # the Schreier-Sims order is checked against the first-path orbit product
+    monkeypatch.setattr(autgroup.StabilizerChain, "order", lambda self: 5)
+    with pytest.raises(GroupOrderMismatch, match="orbit product 6"):
+        automorphism_group(Digraph(3, []))

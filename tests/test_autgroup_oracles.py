@@ -1,0 +1,119 @@
+"""The automorphism solver against networkx VF2 and sympy, beyond the reach
+of the brute-force oracle."""
+
+from __future__ import annotations
+
+import os
+import random
+from math import factorial
+
+import pytest
+
+from posr.autgroup import automorphism_group
+from posr.cayley import Digraph
+
+nx = pytest.importorskip("networkx")
+combinatorics = pytest.importorskip("sympy.combinatorics")
+isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+
+COUNT_LIMIT = 500  # VF2 enumerates groups up to this order
+
+
+def symmetric_inputs():
+    """Highly symmetric digraphs with |Aut| in closed form."""
+    # a 2-POSR of C_80 (Theorem 1.1): T01 = {1, x, x^2}, T10 = {x, x^2, x^4}
+    posr80 = ([(h, 80 + (h + t) % 80) for h in range(80) for t in (0, 1, 2)]
+              + [(80 + h, (h + t) % 80) for h in range(80) for t in (1, 2, 4)])
+    return [
+        ("empty24", 24, [], factorial(24)),
+        ("triangles10", 30, [(3 * i + j, 3 * i + (j + 1) % 3)
+                             for i in range(10) for j in range(3)], 3 ** 10 * factorial(10)),
+        ("cycle150", 150, [(v, (v + 1) % 150) for v in range(150)], 150),
+        ("cyclic80_2posr", 160, posr80, 80),
+    ]
+
+
+def relabelled(n, arcs, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in arcs]
+
+
+def vf2_count(n, arcs, limit):
+    """Number of automorphisms by VF2, counting at most ``limit + 1``."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(arcs)
+    count = 0
+    for _ in isomorphism.DiGraphMatcher(g, g).isomorphisms_iter():
+        count += 1
+        if count > limit:
+            break
+    return count
+
+
+def check_against_oracles(n, arcs, count_limit=COUNT_LIMIT):
+    res = automorphism_group(Digraph(n, arcs))
+    arc_set = set(arcs)
+    for gen in res.generators:
+        g = gen.tolist()
+        assert sorted(g) == list(range(n))
+        assert {(g[u], g[v]) for u, v in arc_set} == arc_set
+    perms = [combinatorics.Permutation(g.tolist()) for g in res.generators]
+    group = combinatorics.PermutationGroup(perms or [combinatorics.Permutation(n - 1)])
+    assert group.order() == res.order
+    if res.order <= count_limit:
+        assert vf2_count(n, arcs, count_limit) == res.order
+    return res.order
+
+
+@pytest.mark.parametrize("name,n,arcs,order", symmetric_inputs(),
+                         ids=[x[0] for x in symmetric_inputs()])
+def test_symmetric_inputs_match_oracles(name, n, arcs, order):
+    # sympy and the closed form; VF2 could enumerate only the groups of
+    # cycle150 and cyclic80_2posr, at about 5 s each, so that is extended
+    rng = random.Random(f"oracle:{name}")
+    assert check_against_oracles(n, relabelled(n, arcs, rng), count_limit=0) == order
+
+
+@pytest.mark.skipif(os.environ.get("POSR_EXTENDED") != "1",
+                    reason="extended tier (set POSR_EXTENDED=1)")
+@pytest.mark.parametrize("name,n,arcs,order", symmetric_inputs()[2:],
+                         ids=[x[0] for x in symmetric_inputs()[2:]])
+def test_symmetric_inputs_match_vf2(name, n, arcs, order):
+    rng = random.Random(f"oracle:{name}")
+    assert check_against_oracles(n, relabelled(n, arcs, rng), count_limit=order) == order
+
+
+def random_symmetric_digraph(rng):
+    """A digraph on at most 60 vertices from one of three families: random
+    (mostly rigid), circulant (at most 40 vertices, so that VF2 enumerates
+    its group quickly), or up to 12 copies of one small random digraph."""
+    family = rng.choice(["random", "circulant", "copies"])
+    if family == "random":
+        n = rng.randint(1, 60)
+        p = rng.choice([0.03, 0.1, 0.3])
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    elif family == "circulant":
+        n = rng.randint(2, 40)
+        conn = rng.sample(range(1, n), min(n - 1, rng.randint(1, 4)))
+        arcs = [(v, (v + s) % n) for v in range(n) for s in conn]
+    else:
+        size = rng.randint(2, 5)
+        copies = rng.randint(2, 12)
+        piece = [(u, v) for u in range(size) for v in range(size)
+                 if u != v and rng.random() < 0.4]
+        n = size * copies
+        arcs = [(c * size + u, c * size + v) for c in range(copies) for u, v in piece]
+    return n, relabelled(n, arcs, rng)
+
+
+def test_random_digraphs_match_oracles():
+    rng = random.Random(2014)
+    orders = set()
+    for _ in range(40):
+        n, arcs = random_symmetric_digraph(rng)
+        orders.add(check_against_oracles(n, arcs))
+    # rigid, small and huge groups all occur
+    assert 1 in orders and any(1 < o <= COUNT_LIMIT for o in orders)
+    assert any(o > COUNT_LIMIT for o in orders)

@@ -136,6 +136,27 @@ def test_is_digraph_automorphism_matches_reference():
     assert verdicts == {False, True}
 
 
+def reference_csr(d):
+    """The per-vertex loop that the cumulative-sum offsets replaced."""
+    out_off = np.zeros(d.n + 1, dtype=np.int64)
+    in_off = np.zeros(d.n + 1, dtype=np.int64)
+    for v in range(d.n):
+        out_off[v + 1] = out_off[v] + len(d.out_adj[v])
+        in_off[v + 1] = in_off[v] + len(d.in_adj[v])
+    flat = [np.concatenate(adj).astype(np.int64) if d.n_arcs else np.zeros(0, dtype=np.int64)
+            for adj in (d.out_adj, d.in_adj)]
+    return flat[0], out_off, flat[1], in_off
+
+
+def test_csr_matches_reference():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3])
+        for got, want in zip(d.csr(), reference_csr(d)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_right_translations_form_semiregular_copy():
     g = group_from_token("dihedral:8")
     perms = right_translations(g, 2)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from posr import catalog
+from posr import catalog, search
 from posr import io as pio
 from posr.catalog import cyclic_posr_sets, fixed_digraph
 from posr.cli import run
+from posr.errors import TooLarge
 from posr.groups import group_from_token
 
 
@@ -104,12 +106,15 @@ def test_verify_reports_known_failure(capsys):
 
 def test_verify_budget_exit_codes(monkeypatch, capsys):
     # out of node budget: a Skip with the budget named, never a usage error;
-    # a failing claim still takes precedence
+    # the rigid-digraph searches spend kernel descents from the same budget
     code = run(["verify", "--node-budget", "3", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 1
+    assert code == 3
+    assert payload["counts"]["Fail"] == 0
     by_name = {r["name"]: r for r in payload["results"]}
-    assert by_name["trivial-m6-pdr-none"]["status"] == "Fail"
+    for name in ("trivial-m6-pdr-none", "trivial-m7-posr-none"):
+        assert by_name[name]["status"] == "Skip"
+        assert by_name[name]["detail"] == "search aborted (budget)"
     for name in ("cyclic7-m2-posr", "fig1_9-rigid", "quaternion8-m2-posr-none"):
         assert by_name[name]["status"] == "Skip"
         assert by_name[name]["detail"].startswith("budget exceeded")
@@ -122,3 +127,34 @@ def test_verify_budget_exit_codes(monkeypatch, capsys):
     assert run(["verify"]) == 0
     table = capsys.readouterr().out
     assert "budget exceeded" in table and "search aborted (budget)" in table
+    # a failing claim still takes precedence over a budget Skip: a witness
+    # with digons fails validation before any search spends the budget
+    z7 = next(c for c in load() if c.name == "cyclic7-m2-posr")
+    digons = dataclasses.replace(z7, name="cyclic7-m2-posr-digons", sets={
+        "m": 2, "sets": [[[], ["1", "x", "x^2"]], [["1", "x^6", "x^5"], []]]})
+    monkeypatch.setattr(catalog, "load_claims",
+                        lambda: [c for c in load() if c.name in names] + [digons])
+    assert run(["verify", "--node-budget", "3", "--output", "json"]) == 1
+    by_name = {r["name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    assert by_name["cyclic7-m2-posr-digons"]["status"] == "Fail"
+    assert by_name["cyclic7-m2-posr"]["detail"].startswith("budget exceeded")
+
+
+def test_search_threads_need_antisym(capsys):
+    # --threads only splits the rigid-digraph search; elsewhere it is refused
+    assert run(["search", "--group", "cyclic:5", "--m", "2", "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert run(["search", "--group", "cyclic:5", "--m", "2", "--threads", "1"]) == 0
+
+
+def test_search_antisym_too_large(monkeypatch, capsys):
+    # refused up front: the kernel is never called, no thread is started
+    def no_kernel(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(search.kernels, "regular_digraph_search", no_kernel)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", no_kernel)
+    assert run(["search", "--antisym", "--m", "64", "--threads", "2"]) == 2
+    assert "63 vertices" in capsys.readouterr().err
+    with pytest.raises(TooLarge):
+        search.exists_antisymmetric_kregular(64, 3, oriented=True)

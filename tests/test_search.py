@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from posr import cayley, kernels, search
+from posr import autgroup, cayley, kernels, search
 from posr.cayley import validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
@@ -139,6 +139,40 @@ def test_aut_reduced_search_results(token, status, examined, witness):
         assert out.status == status
         assert out.candidates_examined == examined
         assert (out.witness.to_json()["sets"] if out.witness else None) == witness
+
+
+@pytest.mark.parametrize("token,m,reduced,status,refines", [
+    ("cyclic:2", 2, True, "ExhaustedNone", 0),
+    ("quaternion8", 2, True, "ExhaustedNone", 133),
+    ("dihedral:8", 2, True, "FoundWitness", 13),
+    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
+    ("quaternion8", 2, False, "ExhaustedNone", 2176),
+    ("klein4", 3, False, "FoundWitness", 276),
+])
+def test_seeded_pass_work_pinned(monkeypatch, token, m, reduced, status, refines):
+    # the seeded one-pass check never records a generator, so the orbit
+    # pruning below depth 0 costs it nothing: its refinement calls over a
+    # whole search are pinned
+    calls = []
+    inner = []
+    refine = kernels.refine_partition
+    check = autgroup.find_nontrivial_automorphism
+
+    def counting_refine(*args):
+        calls.append(1)
+        return refine(*args)
+
+    def counting_check(*args, **kwargs):
+        before = len(calls)
+        result = check(*args, **kwargs)
+        inner.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(kernels, "refine_partition", counting_refine)
+    monkeypatch.setattr(autgroup, "find_nontrivial_automorphism", counting_check)
+    out = exists_mposr(group_from_token(token), m, 3, "POSR", reduce_by_group_auts=reduced)
+    assert out.status == status
+    assert sum(inner) == refines
 
 
 def test_one_build_per_candidate(monkeypatch):
