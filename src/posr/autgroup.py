@@ -321,62 +321,6 @@ def aut_is_translations(pd: PartitionedDigraph,
         pd.digraph, part_size=pd.group_order, node_budget=node_budget) is None
 
 
-def are_isomorphic(d1: Digraph, d2: Digraph,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Arc-preserving bijection existence, by backtracking over images with
-    refinement-based invariant prechecks."""
-    if d1.n != d2.n or d1.n_arcs != d2.n_arcs:
-        return False
-    n = d1.n
-    if n == 0:
-        return True
-    c1 = equitable_refine(d1, Coloring.uniform(n))
-    c2 = equitable_refine(d2, Coloring.uniform(n))
-    if c1.num_colors != c2.num_colors:
-        return False
-    if _class_sizes(c1.color, c1.num_colors) != _class_sizes(c2.color, c2.num_colors):
-        return False
-    # order d1's vertices most-constrained first: by color class size, then color
-    sizes = np.bincount(c1.color, minlength=c1.num_colors)
-    verts = sorted(range(n), key=lambda v: (sizes[c1.color[v]], c1.color[v], v))
-    arcs1 = d1.arc_set()
-    arcs2 = d2.arc_set()
-    img = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    nodes = 0
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("isomorphism search exceeded node budget")
-        if i == n:
-            return True
-        v = verts[i]
-        for w in range(n):
-            if used[w] or c2.color[w] != c1.color[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = verts[j]
-                if ((u, v) in arcs1) != ((int(img[u]), w) in arcs2):
-                    ok = False
-                    break
-                if ((v, u) in arcs1) != ((w, int(img[u])) in arcs2):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-                img[v] = -1
-        return False
-
-    return backtrack(0)
-
-
 # ---------------------------------------------------------------------------
 # Schreier-Sims
 # ---------------------------------------------------------------------------

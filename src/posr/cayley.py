@@ -284,18 +284,3 @@ def is_digraph_automorphism(d: Digraph, perm: np.ndarray) -> bool:
     src = np.repeat(np.arange(d.n, dtype=np.int64), np.diff(out_off))
     image = np.sort(perm[src] * d.n + perm[out_flat])
     return bool(np.array_equal(image, src * d.n + out_flat))
-
-
-def out_ball(d: Digraph, v: int, radius: int) -> list[set[int]]:
-    """Level sets of repeated out-neighborhoods; levels are not deduplicated
-    against earlier ones (level k is the union of out-neighbors of level k-1)."""
-    if not 0 <= v < d.n:
-        raise IndexOutOfRange(f"vertex {v} outside 0..{d.n - 1}")
-    levels = [{v}]
-    for _ in range(radius):
-        prev = levels[-1]
-        nxt: set[int] = set()
-        for u in prev:
-            nxt.update(int(w) for w in d.out_adj[u])
-        levels.append(nxt)
-    return levels

@@ -450,36 +450,38 @@ def in_phi(g: GroupTable) -> bool:
 def group_automorphisms(g: GroupTable) -> list[np.ndarray]:
     """All automorphisms of G, as permutations of element indices.
 
-    Brute force over images of the distinguished generators; suitable for the
-    small orders used here (n <= 100 or so).
+    Brute force over images of the first two generators, every candidate
+    image pair (same element orders, in ``product`` order) at once: along
+    the breadth-first tree over the generators, e = p * x_k gets
+    phi(e) = phi(p) * image_k.  A candidate is kept when phi is a bijection
+    with phi(a * x_k) = phi(a) * image_k for every a and k, which makes it a
+    homomorphism by induction on word length.  Suitable for the small orders
+    used here (n <= 100 or so).
     """
-    gen_idx = [idx for _, idx in g.generators[:2]] or [idx for _, idx in g.generators]
-    # words of all elements in terms of the generators, as index sequences
-    label_of = {lab: i for i, (lab, _) in enumerate(g.generators)}
-    words = []
-    for e in range(g.order):
-        seq = []
-        for lab, exp in parse_word(g.words[e]):
-            seq.extend([label_of[lab]] * exp)  # BFS words have positive exponents
-        words.append(seq)
-    orders = [g.element_order(i) for i in gen_idx]
+    gens = [idx for _, idx in g.generators[:2]]
+    n = g.order
+    # breadth-first tree: tree[i] = (e, parent, k) with e = parent * gens[k]
+    seen = {g.identity}
+    queue = [g.identity]
+    tree = []
+    for p in queue:
+        for k, x in enumerate(gens):
+            e = int(g.mult[p, x])
+            if e not in seen:
+                seen.add(e)
+                queue.append(e)
+                tree.append((e, p, k))
+    if len(seen) != n:
+        raise InvalidParameter("group_automorphisms needs G generated by its first two generators")
     candidates = [
-        [a for a in range(g.order) if g.element_order(a) == o] for o in orders
+        [a for a in range(n) if g.element_order(a) == g.element_order(x)] for x in gens
     ]
-    autos = []
-    for images in product(*candidates):
-        phi = np.empty(g.order, dtype=np.int64)
-        ok = True
-        for e in range(g.order):
-            acc = g.identity
-            for gi in words[e]:
-                acc = g.mul(acc, images[gi])
-            phi[e] = acc
-        if len(set(phi.tolist())) != g.order:
-            continue
-        # homomorphism check over the whole table
-        if not np.array_equal(phi[g.mult], g.mult[np.ix_(phi, phi)]):
-            ok = False
-        if ok:
-            autos.append(phi)
-    return autos
+    images = np.array(list(product(*candidates)), dtype=np.int64).reshape(-1, len(gens))
+    phi = np.empty((len(images), n), dtype=np.int64)
+    phi[:, g.identity] = g.identity
+    for e, p, k in tree:
+        phi[:, e] = g.mult[phi[:, p], images[:, k]]
+    ok = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1)
+    for k, x in enumerate(gens):
+        ok &= (phi[:, g.mult[:, x]] == g.mult[phi, images[:, k, None]]).all(axis=1)
+    return list(phi[ok])

@@ -1,12 +1,32 @@
 """Exhaustive searches: connection-set systems for a given (G, m) and
 k-regular digraphs of small order.
 
-Candidate order is fixed and lexicographic, so nonexistence verdicts are
+Candidate order is fixed and lexicographic (size matrix, then the cells in
+row-major order, each a sorted tuple), so nonexistence verdicts are
 reproducible and long runs can resume from an enumeration cursor.
 
-Each connection-set candidate is decided with one Cayley build and one
-seeded search pass (``autgroup.aut_is_translations``); ``naive`` mode
-computes the full automorphism group instead.  A witness is re-checked by
+Orbit pruning.  For sigma in Aut(G) and h = (e, h_1, ..., h_{m-1}), the
+vertex map (i, x) -> (i, h_i sigma(x)) is an isomorphism from Cay(T) onto
+Cay(T'), T'_ij = h_j sigma(T_ij) h_i^-1: the arc (i, x) -> (j, t x) goes to
+(i, y) -> (j, h_j sigma(t) h_i^-1 y) with y = h_i sigma(x).  It conjugates
+the right translation by g to the one by sigma(g), so it maps R(G) onto
+R(G), and T' has the same size matrix and is oriented, partite and regular
+iff T is; so T' is a representation iff T is.  The search sends a candidate
+to the solver only if no map of S = Aut(G) x {h with at most one h_j != e}
+gives a lexicographically smaller candidate (``OrbitFilter``).  A smaller
+image has the same size matrix, so it comes earlier in the enumeration, and
+the first representation in enumeration order is never skipped: the
+witness, ``candidates_examined`` (skipped candidates count) and the cursors
+are those of the full search.  The least candidate in the orbit of a
+representation under the group S generates is one that no map of S makes
+smaller, so ExhaustedNone over cursor windows that cover every rank proves
+nonexistence.  A window from cursor 0 is exact; ExhaustedNone of a window
+that starts later says only that none of its orbit-minimal candidates is a
+representation.  ``naive`` mode skips nothing.
+
+Each remaining candidate is decided with one Cayley build and one seeded
+search pass (``autgroup.aut_is_translations``); ``naive`` mode computes the
+full automorphism group instead.  A witness is re-checked by
 ``verify_witness``, which validates it again and recomputes Aut from
 scratch, before it is returned.
 """
@@ -111,7 +131,7 @@ def enumerate_connection_sets(
     for sizes in _size_matrices(m, valency, n, require_partite):
         cell_choices = [list(combinations(elements, k)) for k in sizes]
         for combo in product(*cell_choices):
-            sets = tuple(tuple(combo[i * m + j] for j in range(m)) for i in range(m))
+            sets = tuple(combo[i:i + m] for i in range(0, m * m, m))
             conn = ConnectionSets(m, sets)
             if require_oriented and not sets_oriented(g, conn):
                 continue
@@ -142,42 +162,73 @@ def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
     return aut_is_translations(pd, node_budget=node_budget)
 
 
-def _subset_image_table(auts, subsets: list[tuple], n: int, k: int) -> np.ndarray:
-    """``maps[a, i]`` is the index in ``subsets`` (all k-subsets of range(n)
-    in ``combinations`` order) of the image of subset i under ``auts[a]``.
+class OrbitFilter:
+    """Orbit-minimality test for the candidates of one (G, m).
 
-    A sorted subset read as a base-n number keeps the lexicographic order of
-    ``combinations``, so each row is a ``searchsorted`` of the images'
-    numbers into the subsets' numbers; one automorphism at a time keeps the
-    temporaries to one row.
+    The maps tested, S, are sigma in Aut(G) with h = (e, h_1, ..., h_{m-1})
+    having at most one h_j != e (``translations``), or Aut(G) alone; each
+    sends T to T'_ij = h_j sigma(T_ij) h_i^-1.  ``keeps(conn)`` is True iff
+    no map in S sends conn to a lexicographically smaller candidate (cells
+    in row-major order, each a sorted tuple).  S is kept as index arrays and
+    each cell's images are temporaries.
     """
-    members = np.array(subsets, dtype=np.int64).reshape(len(subsets), k)
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys = members @ place
-    maps = np.empty((len(auts), len(subsets)), dtype=np.int32)
-    for a, sigma in enumerate(auts):
-        maps[a] = np.searchsorted(keys, np.sort(sigma[members], axis=1) @ place)
-    return maps
 
+    def __init__(self, g: GroupTable, m: int, auts: list[np.ndarray], translations: bool):
+        self.g = g
+        self.translations = translations
+        self.auts = np.array(auts, dtype=np.int64).reshape(len(auts), g.order)
+        shifts = [(0, g.identity)]
+        if translations:
+            shifts += [(j, h) for j in range(1, m) for h in range(g.order) if h != g.identity]
+        part, h = np.array(shifts, dtype=np.int64).T
+        sigma = np.repeat(np.arange(len(auts)), len(shifts))
+        maps = np.stack([sigma, np.tile(part, len(auts)), np.tile(h, len(auts))])
+        # the identity map never gives a smaller image
+        identity = (self.auts == np.arange(g.order)).all(axis=1)
+        self._maps = maps[:, ~(identity[sigma] & (maps[1] == 0))]
+        # ((i, j, cell), maps that tie up to that cell, or None if one is
+        # smaller) for the nonempty leading cells of the last candidate:
+        # consecutive candidates share their leading cells
+        self._prefix: list[tuple] = []
 
-def _aut_orbit_filter(g: GroupTable, valency: int):
-    """Representative predicate for m=2 candidates under Aut(G).
+    def _ties(self, i: int, j: int, cell: tuple, maps: np.ndarray) -> np.ndarray | None:
+        """The maps whose image of cell (i, j) equals it, or None if some
+        map's image is smaller."""
+        g = self.g
+        sigma, part, h = maps
+        key = np.array(cell, dtype=np.int64)
+        left = np.where(part == j, h, g.identity)
+        right = g.inv[np.where(part == i, h, g.identity)]
+        image = g.mult[g.mult[left[:, None], self.auts[sigma[:, None], key]], right[:, None]]
+        image.sort(axis=1)
+        differ = image != key
+        first = differ.argmax(axis=1)
+        # a row equal to the key has first = 0 and is not smaller
+        if (image[np.arange(len(image)), first] < key[first]).any():
+            return None
+        return maps[:, ~differ.any(axis=1)]
 
-    Each candidate is a pair (A, B) of valency-subsets of G; sigma in Aut(G)
-    maps it to (sigma A, sigma B), an isomorphic digraph.  Keep a candidate
-    iff its subset-index pair is lexicographically minimal in its orbit.
-    """
-    subsets = list(combinations(range(g.order), valency))
-    index = {s: i for i, s in enumerate(subsets)}
-    maps = _subset_image_table(group_automorphisms(g), subsets, g.order, valency)
-
-    def is_representative(ai: int, bi: int) -> bool:
-        ma = maps[:, ai]
-        mb = maps[:, bi]
-        worse = (ma > ai) | ((ma == ai) & (mb >= bi))
-        return bool(worse.all())
-
-    return subsets, index, is_representative
+    def keeps(self, conn: ConnectionSets) -> bool:
+        """Compare the images cell by cell: the first nonempty cell under all
+        of S, the next under the maps that fix the first, and so on."""
+        maps = self._maps
+        level = 0
+        for i, row in enumerate(conn.sets):
+            for j, cell in enumerate(row):
+                if not cell:
+                    continue
+                if not maps.shape[1]:
+                    return True
+                if level < len(self._prefix) and self._prefix[level][0] == (i, j, cell):
+                    maps = self._prefix[level][1]
+                else:
+                    del self._prefix[level:]
+                    maps = self._ties(i, j, cell, maps)
+                    self._prefix.append(((i, j, cell), maps))
+                if maps is None:
+                    return False
+                level += 1
+        return True
 
 
 def exists_mposr(
@@ -198,19 +249,30 @@ def exists_mposr(
     by exhausting every partite candidate.
 
     candidates_examined counts enumerated partite candidates (including the
-    ones rejected by the cheap oriented filter).  With reduce_by_group_auts
-    (m=2 only) it counts orbit representatives under Aut(g) instead.
+    ones rejected by the cheap oriented filter or skipped as not
+    orbit-minimal).  With reduce_by_group_auts (m=2 only) it counts the
+    candidates that are minimal under Aut(g) alone instead.
+
+    Without ``naive``, a candidate reaches the solver only if it passes the
+    oriented filter (POSR) and is minimal under Aut(g) x {h with at most one
+    h_j != e} (see the module docstring).  The skipped candidates are
+    isomorphic to earlier ones by maps that keep R(g), so the first witness
+    and an ExhaustedNone over the whole enumeration, or over a window that
+    starts at cursor 0, are those of the naive search.  An ExhaustedNone of
+    a window that starts later says only that none of its orbit-minimal
+    candidates is a representation; windows that together cover every
+    cursor still prove nonexistence.
     """
     kind = kind.upper()
     if kind not in ("POSR", "PDR"):
         raise InvalidParameter(f"unknown kind {kind!r}")
     t0 = time.monotonic()
     total = count_connection_sets(g, m, valency)
-    rep_check = None
-    if reduce_by_group_auts:
-        if m != 2:
-            raise InvalidParameter("Aut(G) reduction is implemented for m=2 only")
-        _, index, rep_check = _aut_orbit_filter(g, valency)
+    if reduce_by_group_auts and m != 2:
+        raise InvalidParameter("Aut(G) reduction is implemented for m=2 only")
+    auts = group_automorphisms(g) if reduce_by_group_auts or not naive else []
+    reps = OrbitFilter(g, m, auts, translations=False) if reduce_by_group_auts else None
+    minimal = None if naive else OrbitFilter(g, m, auts, translations=True)
     examined = 0
     for cursor, conn in enumerate(enumerate_connection_sets(g, m, valency)):
         if cursor < cursor_start:
@@ -220,9 +282,7 @@ def exists_mposr(
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             return SearchOutcome("Aborted", None, examined,
                                  time.monotonic() - t0, resume_cursor=cursor)
-        if rep_check is not None and not rep_check(
-            index[conn.cell(0, 1)], index[conn.cell(1, 0)]
-        ):
+        if reps is not None and not reps.keeps(conn):
             continue
         examined += 1
         if progress_every and examined % progress_every == 0 and progress_cb:
@@ -232,6 +292,9 @@ def exists_mposr(
                 "total": total,
             })
         if kind == "POSR" and not naive and not sets_oriented(g, conn):
+            continue
+        # enumerated candidates are partite and regular by construction
+        if minimal is not None and not minimal.keeps(conn):
             continue
         if _candidate_is_rep(g, conn, kind, node_budget, naive):
             if not verify_witness(g, conn, kind, node_budget=node_budget):

@@ -12,7 +12,6 @@ import pytest
 from posr.autgroup import (
     Coloring,
     StabilizerChain,
-    are_isomorphic,
     aut_is_translations,
     automorphism_group,
     brute_force_automorphisms,
@@ -156,35 +155,6 @@ def test_stabilizer_chain_membership():
     assert np.array_equal(residue, np.arange(4))
     residue, _ = chain.sift(np.array([2, 1, 0, 3]))
     assert not np.array_equal(residue, np.arange(4))
-
-
-def test_are_isomorphic():
-    rng = random.Random(17)
-    for _ in range(30):
-        d = random_digraph(rng, rng.randint(1, 7))
-        perm = list(range(d.n))
-        rng.shuffle(perm)
-        assert are_isomorphic(d, d.relabel(perm))
-        assert are_isomorphic(d, d)
-    c3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    p3 = Digraph(3, [(0, 1), (1, 2)])
-    assert not are_isomorphic(c3, p3)
-
-
-def test_are_isomorphic_agrees_with_brute_force():
-    rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        d1 = random_digraph(rng, n)
-        d2 = random_digraph(rng, n)
-        from itertools import permutations
-
-        arcs1, arcs2 = d1.arc_set(), d2.arc_set()
-        truth = len(arcs1) == len(arcs2) and any(
-            all((p[u], p[v]) in arcs2 for u, v in arcs1)
-            for p in permutations(range(n))
-        )
-        assert are_isomorphic(d1, d2) == truth
 
 
 def test_semiregular_rep_shortcut_agreement():

@@ -12,7 +12,6 @@ from posr.cayley import (
     Digraph,
     build_cayley,
     is_digraph_automorphism,
-    out_ball,
     right_translations,
     sets_oriented,
     validate_sets,
@@ -164,11 +163,3 @@ def test_right_translations_form_semiregular_copy():
     ident = np.arange(16)
     for p in perms[1:]:
         assert not np.any(p == ident)  # semiregular: no fixed points
-
-
-def test_out_ball_levels():
-    d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    levels = out_ball(d, 0, 2)
-    assert levels == [{0}, {1}, {2}]
-    with pytest.raises(IndexOutOfRange):
-        out_ball(d, 9, 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from posr.groups import (
     group_from_permutations,
     group_from_token,
     in_phi,
+    parse_word,
     named_group,
     parse_group_spec,
 )
@@ -198,3 +201,31 @@ def test_group_automorphisms_are_homomorphisms():
         for a in range(g.order):
             for b in range(g.order):
                 assert sigma[g.mul(a, b)] == g.mul(int(sigma[a]), int(sigma[b]))
+
+
+@pytest.mark.parametrize("token", [
+    "cyclic:1", "cyclic:12", "klein4", "dihedral:8", "quaternion8", "alternating4",
+    "c4_semidirect_c4",
+])
+def test_group_automorphisms_match_plain_python(token):
+    # every generator image pair, each element's word evaluated with
+    # GroupTable.mul and the whole multiplication table checked
+    g = group_from_token(token)
+    gens = [label for label, _ in g.generators]
+    words = [parse_word(w) for w in g.words]
+    expected = []
+    for images in product(range(g.order), repeat=len(gens)):
+        image_of = dict(zip(gens, images))
+        phi = []
+        for word in words:
+            acc = g.identity
+            for label, exp in word:
+                for _ in range(exp):
+                    acc = g.mul(acc, image_of[label])
+            phi.append(acc)
+        if len(set(phi)) == g.order and all(
+            phi[g.mul(a, b)] == g.mul(phi[a], phi[b])
+            for a in range(g.order) for b in range(g.order)
+        ):
+            expected.append(phi)
+    assert [sigma.tolist() for sigma in group_automorphisms(g)] == expected

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from posr.cayley import validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
 from posr.search import (
-    _subset_image_table,
+    OrbitFilter,
     count_connection_sets,
     enumerate_connection_sets,
     exists_antisymmetric_kregular,
@@ -79,6 +80,32 @@ def test_naive_pipeline_agrees():
         assert fast.candidates_examined == slow.candidates_examined
 
 
+GRID_GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
+               "klein4", "dihedral:6", "dihedral:8", "quaternion8")
+
+
+@pytest.mark.parametrize("token, m, kind", [
+    *((token, m, kind) for m in (2, 3) for token in GRID_GROUPS for kind in ("POSR", "PDR")),
+    ("cyclic:2", 4, "POSR"), ("cyclic:2", 4, "PDR"),
+    ("cyclic:3", 4, "POSR"), ("cyclic:3", 4, "PDR"), ("cyclic:4", 4, "POSR"),
+])
+def test_orbit_pruning_matches_naive(token, m, kind):
+    g = group_from_token(token)
+    slow = exists_mposr(g, m, 3, kind, naive=True)
+    fast = exists_mposr(g, m, 3, kind)
+    assert slow.status in ("FoundWitness", "ExhaustedNone")
+    assert (fast.status, fast.candidates_examined, fast.witness) == (
+        slow.status, slow.candidates_examined, slow.witness)
+    # a cut before the first witness: the window from cursor 0 is exact, and
+    # the rest still finds the naive witness, which is orbit-minimal
+    cut = slow.candidates_examined // 2
+    first = exists_mposr(g, m, 3, kind, cursor_stop=cut)
+    rest = exists_mposr(g, m, 3, kind, cursor_start=cut)
+    assert first.status == "ExhaustedNone"
+    assert first.candidates_examined + rest.candidates_examined == slow.candidates_examined
+    assert (rest.status, rest.witness) == (slow.status, slow.witness)
+
+
 def test_cursor_resume_partitions_the_run():
     g = group_from_token("cyclic:6")
     whole = exists_mposr(g, 2, 3, "POSR")
@@ -110,17 +137,44 @@ def test_aut_reduction_preserves_verdict():
     assert reduced.candidates_examined < plain.candidates_examined
 
 
-@pytest.mark.parametrize("token", ["quaternion8", "dihedral:8"])
-def test_subset_image_table_matches_definition(token):
+def _brute_force_minimal(g, conn, auts, translations):
+    """No map of S gives a smaller candidate, each image built in plain
+    Python: T'_ij = h_j sigma(T_ij) h_i^-1 with at most one h_j != e."""
+    m = conn.m
+    shifts = [[0] * m]
+    if translations:
+        shifts += [[h if k == j else 0 for k in range(m)]
+                   for j in range(1, m) for h in range(1, g.order)]
+    for sigma, h in product(auts, shifts):
+        image = tuple(
+            tuple(tuple(sorted(g.mul(g.mul(h[j], int(sigma[t])), g.inverse(h[i]))
+                               for t in conn.cell(i, j)))
+                  for j in range(m))
+            for i in range(m))
+        if image < conn.sets:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("token, m, limit", [
+    ("dihedral:8", 2, 1200), ("quaternion8", 2, 1200),
+    ("cyclic:6", 2, None), ("cyclic:3", 3, None), ("klein4", 3, 1500),
+])
+@pytest.mark.parametrize("translations", [False, True])
+def test_orbit_filter_matches_brute_force(token, m, limit, translations):
     g = group_from_token(token)
     auts = group_automorphisms(g)
-    subsets = list(combinations(range(g.order), 3))
-    index = {s: i for i, s in enumerate(subsets)}
-    maps = _subset_image_table(auts, subsets, g.order, 3)
-    assert maps.dtype == np.int32 and maps.shape == (len(auts), len(subsets))
-    for a, sigma in enumerate(auts):
-        for i, s in enumerate(subsets):
-            assert maps[a, i] == index[tuple(sorted(int(sigma[e]) for e in s))]
+    conns = list(enumerate_connection_sets(g, m, 3))[:limit]
+    truth = [_brute_force_minimal(g, c, auts, translations) for c in conns]
+    assert 0 < sum(truth) < len(conns)
+    # in enumeration order, where consecutive candidates share leading cells,
+    # and shuffled
+    in_order = OrbitFilter(g, m, auts, translations)
+    assert [in_order.keeps(c) for c in conns] == truth
+    order = list(range(len(conns)))
+    random.Random(5).shuffle(order)
+    shuffled = OrbitFilter(g, m, auts, translations)
+    assert [shuffled.keeps(conns[k]) for k in order] == [truth[k] for k in order]
 
 
 @pytest.mark.parametrize("token, status, examined, witness", [
@@ -141,18 +195,9 @@ def test_aut_reduced_search_results(token, status, examined, witness):
         assert (out.witness.to_json()["sets"] if out.witness else None) == witness
 
 
-@pytest.mark.parametrize("token,m,reduced,status,refines", [
-    ("cyclic:2", 2, True, "ExhaustedNone", 0),
-    ("quaternion8", 2, True, "ExhaustedNone", 133),
-    ("dihedral:8", 2, True, "FoundWitness", 13),
-    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
-    ("quaternion8", 2, False, "ExhaustedNone", 2176),
-    ("klein4", 3, False, "FoundWitness", 276),
-])
-def test_seeded_pass_work_pinned(monkeypatch, token, m, reduced, status, refines):
-    # the seeded one-pass check never records a generator, so the orbit
-    # pruning below depth 0 costs it nothing: its refinement calls over a
-    # whole search are pinned
+def _seeded_pass_refines(monkeypatch, token, m, reduced):
+    """Status and refinement calls inside the seeded one-pass checks of one
+    search."""
     calls = []
     inner = []
     refine = kernels.refine_partition
@@ -171,8 +216,40 @@ def test_seeded_pass_work_pinned(monkeypatch, token, m, reduced, status, refines
     monkeypatch.setattr(kernels, "refine_partition", counting_refine)
     monkeypatch.setattr(autgroup, "find_nontrivial_automorphism", counting_check)
     out = exists_mposr(group_from_token(token), m, 3, "POSR", reduce_by_group_auts=reduced)
-    assert out.status == status
-    assert sum(inner) == refines
+    return out.status, sum(inner)
+
+
+@pytest.mark.parametrize("token,m,reduced,status,refines", [
+    ("cyclic:2", 2, True, "ExhaustedNone", 0),
+    ("quaternion8", 2, True, "ExhaustedNone", 133),
+    ("dihedral:8", 2, True, "FoundWitness", 13),
+    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
+    ("quaternion8", 2, False, "ExhaustedNone", 2176),
+    ("klein4", 3, False, "FoundWitness", 276),
+])
+def test_seeded_pass_work_pinned(monkeypatch, token, m, reduced, status, refines):
+    # the seeded one-pass check never records a generator, so the orbit
+    # pruning below depth 0 costs it nothing: its refinement calls over a
+    # whole search are pinned.  Here every candidate that passes the
+    # oriented filter (and the Aut(G) reduction) reaches the solver.
+    keeps = OrbitFilter.keeps
+    monkeypatch.setattr(OrbitFilter, "keeps",
+                        lambda self, conn: self.translations or keeps(self, conn))
+    assert _seeded_pass_refines(monkeypatch, token, m, reduced) == (status, refines)
+
+
+@pytest.mark.parametrize("token,m,reduced,status,refines", [
+    ("cyclic:2", 2, True, "ExhaustedNone", 0),
+    ("quaternion8", 2, True, "ExhaustedNone", 26),
+    ("dihedral:8", 2, True, "FoundWitness", 10),
+    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
+    ("quaternion8", 2, False, "ExhaustedNone", 26),
+    ("klein4", 3, False, "FoundWitness", 17),
+])
+def test_seeded_pass_work_pinned_orbit_minimal(monkeypatch, token, m, reduced, status,
+                                               refines):
+    # only the orbit-minimal candidates reach the solver
+    assert _seeded_pass_refines(monkeypatch, token, m, reduced) == (status, refines)
 
 
 def test_one_build_per_candidate(monkeypatch):
