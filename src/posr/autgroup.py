@@ -28,14 +28,13 @@ outside R(G).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import prod
 
 import numpy as np
 
 from . import kernels
 from .cayley import Digraph, PartitionedDigraph, is_digraph_automorphism, right_translations
-from .errors import BudgetExceeded, GroupOrderMismatch, InvalidParameter, TooLarge
+from .errors import BudgetExceeded, GroupOrderMismatch, InvalidParameter
 from .groups import GroupTable
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -57,20 +56,6 @@ def equitable_refine(d: Digraph, initial: Coloring) -> Coloring:
     of, oo, inf_, io_ = d.csr()
     colors = kernels.refine_partition(d.n, of, oo, inf_, io_, initial.color)
     return Coloring(colors, int(colors.max()) + 1 if d.n else 0)
-
-
-def is_equitable(d: Digraph, coloring: Coloring) -> bool:
-    """Direct check of the equitable predicate (test oracle)."""
-    k = coloring.num_colors
-    sig = {}
-    for v in range(d.n):
-        out_counts = tuple(np.bincount(coloring.color[d.out_adj[v]], minlength=k))
-        in_counts = tuple(np.bincount(coloring.color[d.in_adj[v]], minlength=k))
-        c = int(coloring.color[v])
-        if c in sig and sig[c] != (out_counts, in_counts):
-            return False
-        sig[c] = (out_counts, in_counts)
-    return True
 
 
 @dataclass
@@ -284,19 +269,6 @@ def find_nontrivial_automorphism(
     return state.gens[0] if state.gens else None
 
 
-def brute_force_automorphisms(d: Digraph) -> list[np.ndarray]:
-    """All automorphisms by filtering the n! permutations; oracle, n <= 10."""
-    if d.n > 10:
-        raise TooLarge("brute force limited to 10 vertices")
-    arcs = d.arc_set()
-    out = []
-    for p in permutations(range(d.n)):
-        if all((p[u], p[v]) in arcs for u, v in arcs):
-            # arc count is preserved by bijections, so one direction suffices
-            out.append(np.array(p, dtype=np.int64))
-    return out
-
-
 def is_semiregular_rep(pd: PartitionedDigraph, g: GroupTable,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> RepVerdict:
     """Does Aut of the built digraph equal the right-translation copy of G?"""
@@ -413,11 +385,3 @@ class StabilizerChain:
                         break
             if not dirty:
                 level -= 1
-
-
-def group_order_from_generators(gens, degree: int) -> int:
-    """Exact order of the permutation group generated by ``gens``."""
-    chain = StabilizerChain(degree)
-    for g in gens:
-        chain.add_generator(np.asarray(g, dtype=np.int64))
-    return chain.order()

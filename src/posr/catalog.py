@@ -210,17 +210,6 @@ def pdr_candidates(g: GroupTable, m: int) -> list[ConnectionSets]:
     return out
 
 
-def first_verified_witness(g: GroupTable, candidates, kind: str) -> ConnectionSets | None:
-    """First candidate whose digraph has automorphism group of order |G|."""
-    for conn in candidates:
-        report = validate_sets(g, conn, sum(conn.size_matrix()[0]))
-        if not report.ok_for(kind):
-            continue
-        if is_semiregular_rep(build_cayley(g, conn), g).is_representation:
-            return conn
-    return None
-
-
 # ---------------------------------------------------------------------------
 # fixed digraphs
 # ---------------------------------------------------------------------------
@@ -344,7 +333,7 @@ def classify(spec: GroupSpec, m: int, kind: str) -> Verdict:
 class Claim:
     name: str
     tier: str  # default | extended
-    expected: str  # exists_with_witness | exists_witness_unavailable | not_exists | rigid_digraph
+    expected: str  # exists_with_witness | not_exists | rigid_digraph
     kind: str = ""  # POSR | PDR | "" for digraph claims
     group: str = ""
     m: int = 0
@@ -412,12 +401,11 @@ class Report:
 class SuiteBudget:
     """Limits for one suite run.  ``node_budget`` bounds each search: IR
     nodes per automorphism-solver call, and for the trivial group's
-    rigid-digraph searches the kernel's descents (per chunk when threaded)."""
+    rigid-digraph searches the kernel's descents."""
 
     tier: str = "default"
     node_budget: int = 100_000_000
     time_budget_per_claim: float | None = None
-    threads: int = 1
 
 
 def load_claims() -> list[Claim]:
@@ -460,12 +448,6 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
             report_bits.append(f"aut order {order}")
         return done("Pass" if ok else "Fail", "; ".join(report_bits) or f"aut order 1, {k}-regular")
 
-    if claim.expected == "exists_witness_unavailable":
-        verdict = classify(_spec(claim.group), claim.m, claim.kind)
-        if verdict.answer != "Yes":
-            return done("Fail", f"classification says {verdict}")
-        return done("Pass", f"classification only ({verdict.citation}); witness cited, not reproduced")
-
     g = group_from_token(claim.group)
     if claim.expected == "exists_with_witness":
         conn = ConnectionSets.from_json(claim.sets, g)
@@ -485,7 +467,6 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
             outcome = exists_antisymmetric_kregular(
                 claim.m, claim.options.get("valency", 3),
                 oriented=claim.kind == "POSR", node_budget=budget.node_budget,
-                threads=budget.threads,
             )
         else:
             outcome = exists_mposr(
@@ -501,12 +482,6 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
         return done("Skip", "search aborted (budget)", outcome.to_json(), out_of_budget=True)
 
     raise InvalidParameter(f"unknown expected kind {claim.expected!r}")
-
-
-def _spec(token: str) -> GroupSpec:
-    from .groups import parse_group_spec
-
-    return parse_group_spec(token)
 
 
 def verify_all(budget: SuiteBudget | None = None,

@@ -185,12 +185,6 @@ class PartitionedDigraph:
     def vertex(self, i: int, g: int) -> int:
         return i * self.group_order + g
 
-    def part_of(self, v: int) -> int:
-        return v // self.group_order
-
-    def part_range(self, i: int) -> range:
-        return range(i * self.group_order, (i + 1) * self.group_order)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=["default", "extended"],
                    default=os.environ.get("POSR_TIER", "default"))
     p.add_argument("--output", choices=["json", "table"], default="table")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=100_000_000,
                    help="per search: IR nodes of each automorphism-solver call, "
                         "kernel descents of each rigid-digraph search")
@@ -57,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cursor-start", type=int, default=0)
     p.add_argument("--cursor-stop", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--progress-every", type=int, default=None)
     p.add_argument("--output", choices=["json"], default="json")
 
@@ -80,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     budget = SuiteBudget(tier=args.tier, node_budget=args.node_budget,
-                         time_budget_per_claim=args.time_budget, threads=args.threads)
+                         time_budget_per_claim=args.time_budget)
     report = verify_all(budget)
     if args.output == "json":
         print(_dump(report.to_json()))
@@ -92,13 +90,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.threads > 1 and not args.antisym:
-        print("error: --threads applies only with --antisym", file=sys.stderr)
-        return 2
     if args.antisym:
-        outcome = exists_antisymmetric_kregular(
-            args.m, args.valency, args.oriented, threads=args.threads
-        )
+        outcome = exists_antisymmetric_kregular(args.m, args.valency, args.oriented)
     else:
         if not args.group:
             print("error: --group is required without --antisym", file=sys.stderr)

@@ -49,10 +49,6 @@ class PreconditionFailed(PosrError):
     pass
 
 
-class UnsupportedGroup(PosrError):
-    pass
-
-
 class UnsupportedFormat(PosrError):
     pass
 

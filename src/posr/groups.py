@@ -124,13 +124,6 @@ class GroupTable:
 
     # -- structure -------------------------------------------------------
 
-    def check_relations(self, relations: Iterable[tuple]) -> bool:
-        """True iff every (word, word) pair evaluates to the same element."""
-        return all(
-            self.evaluate_word(lhs) == self.evaluate_word(rhs)
-            for lhs, rhs in relations
-        )
-
     def closure(self, elements: Iterable[int]) -> set[int]:
         seen = set(elements)
         seen.add(self.identity)

@@ -1,14 +1,59 @@
-"""Loop-level kernel implementations: the rigidity test and the regular
+"""Hot numeric kernels, all interpreted: equitable refinement (numpy) and
+the loop kernels over int64 bitmasks, the rigidity test and the regular
 digraph search.
-
-Every function here is written in nopython-compatible style; the numba
-backend compiles these exact functions with @njit and the fallback backend
-runs them interpreted (see __init__).  Keeping a single source guarantees
-both paths produce bit-identical results.  Equitable refinement is not
-here: it is plain numpy code in ``__init__``.
 """
 
 import numpy as np
+
+# name of the kernel implementation, recorded with benchmark numbers; the
+# interpreted code here is the only one
+BACKEND = "fallback"
+
+
+def refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
+    """Coarsest equitable refinement of a coloring, canonically numbered.
+
+    Each pass ranks the vertices by (current color, out-neighbor counts per
+    color, in-neighbor counts per color) and renumbers densely; the loop
+    stops when the class count is stable.  The numbering therefore depends
+    only on the digraph and the order of the input colors.
+
+    A vertex's count vector has 2k entries but at most deg(v) nonzero ones,
+    so it is held as the multiset of its arc-ends' slots: slot c for an
+    out-neighbor of color c, k + c for an in-neighbor.  Slot s is stored as
+    2k - s and each row is sorted ascending, with 0s padding the rows of
+    low-degree vertices.  Read from the right, two rows then compare exactly
+    like the count vectors, because the first slot where two count vectors
+    differ is the smallest slot that one vertex holds more often.  The
+    int32 table is n x (max degree + 1), with the color in the last column.
+    """
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    colors = np.asarray(colors0, dtype=np.int64)
+    classes = np.count_nonzero(np.bincount(colors))
+    out_deg, in_deg = np.diff(out_off), np.diff(in_off)
+    length = int((out_deg + in_deg).max())
+    # arc-end j of vertex v fills row v, column j: out-neighbors, then in-neighbors
+    out_src = np.repeat(np.arange(n), out_deg)
+    in_src = np.repeat(np.arange(n), in_deg)
+    rows = np.concatenate((out_src, in_src))
+    cols = np.concatenate((np.arange(len(out_flat)) - out_off[out_src],
+                           out_deg[in_src] + np.arange(len(in_flat)) - in_off[in_src]))
+    while True:
+        k = int(colors.max()) + 1
+        sig = np.zeros((n, length + 1), dtype=np.int32)
+        sig[rows, cols] = np.concatenate((2 * k - colors[out_flat], k - colors[in_flat]))
+        sig[:, :length].sort(axis=1)
+        sig[:, length] = colors
+        order = np.lexsort(sig.T)  # last column is the primary key
+        ranked = sig[order]
+        new_colors = np.empty(n, dtype=np.int64)
+        new_colors[order[0]] = 0
+        new_colors[order[1:]] = np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))
+        new_classes = int(new_colors[order[-1]]) + 1
+        if new_classes == classes:
+            return new_colors
+        colors, classes = new_colors, new_classes
 
 
 def has_nontrivial_automorphism(n, out_mask):

@@ -26,15 +26,14 @@ representation.  ``naive`` mode skips nothing.
 
 Each remaining candidate is decided with one Cayley build and one seeded
 search pass (``autgroup.aut_is_translations``); ``naive`` mode computes the
-full automorphism group instead.  A witness is re-checked by
-``verify_witness``, which validates it again and recomputes Aut from
-scratch, before it is returned.
+full automorphism group instead (``autgroup.is_semiregular_rep``).  A
+witness is re-checked by ``verify_witness``, which validates it again and
+decides it with ``is_semiregular_rep`` from scratch, before it is returned.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
@@ -42,7 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels
-from .autgroup import aut_is_translations, automorphism_group
+from .autgroup import aut_is_translations, automorphism_group, is_semiregular_rep
 from .cayley import (
     ConnectionSets,
     Digraph,
@@ -158,7 +157,7 @@ def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
         return False
     pd = build_cayley(g, conn)
     if naive:
-        return automorphism_group(pd.digraph, node_budget=node_budget).order == g.order
+        return is_semiregular_rep(pd, g, node_budget).is_representation
     return aut_is_translations(pd, node_budget=node_budget)
 
 
@@ -305,12 +304,10 @@ def exists_mposr(
 
 def verify_witness(g: GroupTable, conn: ConnectionSets, kind: str,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Independent from-scratch re-check of a FoundWitness."""
-    report = validate_sets(g, conn, sum(conn.size_matrix()[0]))
-    if not report.ok_for(kind):
-        return False
-    pd = build_cayley(g, conn)
-    return automorphism_group(pd.digraph, node_budget=node_budget).order == g.order
+    """Independent from-scratch re-check of a FoundWitness: the set
+    conditions, then the full automorphism group of the built digraph."""
+    return (validate_sets(g, conn, sum(conn.size_matrix()[0])).ok_for(kind)
+            and is_semiregular_rep(build_cayley(g, conn), g, node_budget).is_representation)
 
 
 def _mask_digraph(m: int, masks) -> Digraph:
@@ -323,17 +320,15 @@ def exists_antisymmetric_kregular(
     k: int,
     oriented: bool,
     node_budget: int = 10_000_000_000,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Search all loop-free (digon-free when oriented) k-regular digraphs on
     m vertices for one with trivial automorphism group.
 
     Any k-regular digraph is isomorphic to one with N+(0) = {1..k} (relabel
     by any bijection sending the out-neighbors of any fixed vertex to 1..k),
-    so the kernel fixes vertex 0's out-set; the rest of the tree is split by
-    the rank of vertex 1's out-set combination, which gives deterministic,
-    independent chunks.  ``node_budget`` counts the kernel's descents, per
-    chunk when threaded.
+    so the kernel fixes vertex 0's out-set and walks the rest of the tree in
+    one deterministic pass, ordered by the rank of vertex 1's out-set
+    combination.  ``node_budget`` counts the kernel's descents.
     """
     if m < 1 or k < 1:
         raise InvalidParameter("m and k must be >= 1")
@@ -345,42 +340,18 @@ def exists_antisymmetric_kregular(
         return SearchOutcome("ExhaustedNone", None, 0, time.monotonic() - t0)
     total_chunks = kernels.count_combinations(m - 1, k)  # upper bound on ranks
     flag = 1 if oriented else 0
-
-    def run_chunk(lo: int, hi: int):
-        return kernels.regular_digraph_search(m, k, flag, lo, hi, node_budget)
-
-    examined = 0
-    if threads <= 1 or total_chunks <= 1:
-        status, count, masks = run_chunk(0, total_chunks)
-        examined = int(count)
-        results = [(status, masks)]
-    else:
-        results = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = {pool.submit(run_chunk, c, c + 1) for c in range(total_chunks)}
-            found = False
-            while pending and not found:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for f in done:
-                    status, count, masks = f.result()
-                    examined += int(count)
-                    results.append((status, masks))
-                    found |= status == 1
-            for p in pending:  # witness found: drop chunks not yet started
-                p.cancel()
-
-    for status, masks in results:
-        if status == -1:
-            return SearchOutcome("Aborted", None, examined, time.monotonic() - t0)
-    for status, masks in results:
-        if status == 1:
-            d = _mask_digraph(m, masks)
-            # re-verify through the solver before trusting the kernel
-            if d.out_degrees() != [k] * m or d.in_degrees() != [k] * m:
-                raise WitnessRejected(f"kernel witness on {m} vertices is not {k}-regular")
-            if d.has_loops or oriented and any(d.has_arc(v, u) for u, v in d.arcs()):
-                raise WitnessRejected(f"kernel witness on {m} vertices has a loop or digon")
-            if automorphism_group(d).order != 1:
-                raise WitnessRejected(f"kernel witness on {m} vertices is not rigid")
-            return SearchOutcome("FoundWitness", d, examined, time.monotonic() - t0)
+    status, count, masks = kernels.regular_digraph_search(m, k, flag, 0, total_chunks, node_budget)
+    examined = int(count)
+    if status == -1:
+        return SearchOutcome("Aborted", None, examined, time.monotonic() - t0)
+    if status == 1:
+        d = _mask_digraph(m, masks)
+        # re-verify through the solver before trusting the kernel
+        if d.out_degrees() != [k] * m or d.in_degrees() != [k] * m:
+            raise WitnessRejected(f"kernel witness on {m} vertices is not {k}-regular")
+        if d.has_loops or oriented and any(d.has_arc(v, u) for u, v in d.arcs()):
+            raise WitnessRejected(f"kernel witness on {m} vertices has a loop or digon")
+        if automorphism_group(d).order != 1:
+            raise WitnessRejected(f"kernel witness on {m} vertices is not rigid")
+        return SearchOutcome("FoundWitness", d, examined, time.monotonic() - t0)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)

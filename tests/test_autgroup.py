@@ -14,17 +14,16 @@ from posr.autgroup import (
     StabilizerChain,
     aut_is_translations,
     automorphism_group,
-    brute_force_automorphisms,
     equitable_refine,
     find_nontrivial_automorphism,
-    group_order_from_generators,
-    is_equitable,
     is_semiregular_rep,
 )
 from posr.cayley import ConnectionSets, Digraph, build_cayley, is_digraph_automorphism
 from posr import autgroup
 from posr.errors import GroupOrderMismatch, InvalidParameter, TooLarge
 from posr.groups import group_from_token
+
+from oracles import brute_force_automorphisms, group_order_from_generators, is_equitable
 
 
 def random_digraph(rng, n):

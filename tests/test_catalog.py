@@ -11,7 +11,6 @@ from posr.catalog import (
     _run_claim,
     classify,
     cyclic_posr_sets,
-    first_verified_witness,
     fixed_digraph,
     fixed_digraphs,
     load_claims,
@@ -23,6 +22,7 @@ from posr.catalog import (
 from posr.cayley import build_cayley, validate_sets
 from posr.errors import NoCandidate, OutOfRange, PreconditionFailed
 from posr.groups import group_from_token, parse_group_spec
+from posr.search import verify_witness
 
 
 def test_cyclic_sets_shapes():
@@ -149,11 +149,15 @@ def test_classify_table(token, m, kind, answer, cite):
     assert verdict.citation == cite
 
 
-def test_first_verified_witness_skips_bad_candidates():
+def test_verify_witness_skips_bad_candidates():
+    # the published dihedral:6 cells validate, but their digraph has aut
+    # order 12; the corrected cells listed after them verify
     g = group_from_token("dihedral:6")
-    conn = first_verified_witness(g, pdr_candidates(g, 2), "PDR")
-    assert conn is not None
-    assert is_semiregular_rep(build_cayley(g, conn), g).is_representation
+    published, corrected = pdr_candidates(g, 2)
+    assert validate_sets(g, published, 3).ok_for("PDR")
+    assert not verify_witness(g, published, "PDR")
+    assert verify_witness(g, corrected, "PDR")
+    assert is_semiregular_rep(build_cayley(g, corrected), g).is_representation
 
 
 def test_claims_registry_well_formed():
@@ -164,8 +168,7 @@ def test_claims_registry_well_formed():
     for c in claims:
         assert c.tier in ("default", "extended")
         assert c.expected in (
-            "exists_with_witness", "exists_witness_unavailable",
-            "not_exists", "rigid_digraph",
+            "exists_with_witness", "not_exists", "rigid_digraph",
         )
         assert c.source
         if c.expected == "exists_with_witness":

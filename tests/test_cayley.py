@@ -51,8 +51,6 @@ def test_vertex_convention():
     g, conn = z7_lemma_sets()
     pd = build_cayley(g, conn)
     assert pd.vertex(1, 3) == 10
-    assert pd.part_of(10) == 1
-    assert list(pd.part_range(0)) == list(range(7))
     # arc rule: g_i -> (t*g)_j; t = x, g = x^2 gives 2_0 -> 3_1
     assert pd.digraph.has_arc(2, 7 + 3)
 

@@ -140,21 +140,21 @@ def test_verify_budget_exit_codes(monkeypatch, capsys):
     assert by_name["cyclic7-m2-posr"]["detail"].startswith("budget exceeded")
 
 
-def test_search_threads_need_antisym(capsys):
-    # --threads only splits the rigid-digraph search; elsewhere it is refused
-    assert run(["search", "--group", "cyclic:5", "--m", "2", "--threads", "2"]) == 2
+def test_threads_flag_is_usage_error(capsys):
+    # every search runs on one thread; the removed flag is an unknown option
+    assert run(["search", "--antisym", "--m", "7", "--threads", "2"]) == 2
     assert "--threads" in capsys.readouterr().err
-    assert run(["search", "--group", "cyclic:5", "--m", "2", "--threads", "1"]) == 0
+    assert run(["verify", "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_search_antisym_too_large(monkeypatch, capsys):
-    # refused up front: the kernel is never called, no thread is started
+    # refused up front: the kernel is never called
     def no_kernel(*args):
         raise AssertionError("kernel called")
 
     monkeypatch.setattr(search.kernels, "regular_digraph_search", no_kernel)
-    monkeypatch.setattr(search, "ThreadPoolExecutor", no_kernel)
-    assert run(["search", "--antisym", "--m", "64", "--threads", "2"]) == 2
+    assert run(["search", "--antisym", "--m", "64"]) == 2
     assert "63 vertices" in capsys.readouterr().err
     with pytest.raises(TooLarge):
         search.exists_antisymmetric_kregular(64, 3, oriented=True)

@@ -1,0 +1,55 @@
+"""Design rules checked on the source: no exported function without a caller.
+
+Every public module-level function or class in ``src/posr`` must be
+referenced somewhere in ``src/posr`` outside its own definition: called,
+imported, named in an annotation or an ``except``.  Tests and the
+benchmark do not count as callers; a reference implementation that only
+tests use belongs in ``tests/oracles.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+from posr import cayley
+
+SRC = Path(cayley.__file__).parent
+
+# (module, name): why it stays without a caller in src/posr
+ALLOWED = {
+    ("catalog", "pdr_candidates"):
+        "the classification census will decide its PDR cells with it",
+    ("io", "connection_sets_to_json"):
+        "writes the connection-set format that `posr build --sets` reads",
+}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """Every identifier a subtree looks up: names, attributes, imports."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    total = sum((_names(tree) for tree in trees.values()), Counter())
+    uncalled = sorted(
+        (module, node.name) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        # references inside the definition itself (recursion) do not count
+        and total[node.name] == _names(node)[node.name]
+    )
+    extra = [d for d in uncalled if d not in ALLOWED]
+    assert not extra, f"public names with no caller in src/posr: {extra}"
+    # an allowlist entry that gained a caller or lost its definition is stale
+    assert sorted(ALLOWED) == [d for d in uncalled if d in ALLOWED]
