@@ -1,6 +1,6 @@
 """Partitioned Cayley digraphs built from connection-set systems.
 
-Vertex convention: ``vertex(i, g) = i * |G| + g``; part i is the contiguous
+Vertex convention: vertex (i, g) is ``i * |G| + g``; part i is the contiguous
 index range ``[i*|G|, (i+1)*|G|)``.  The arc rule multiplies the connection
 element on the LEFT of the source's group coordinate (arc g_i -> (t g)_j for
 t in T[i][j]); the translation embedding multiplies on the RIGHT
@@ -127,9 +127,6 @@ class Digraph:
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, int(v)) for u in range(self.n) for v in self.out_adj[u]]
 
-    def arc_set(self) -> set[tuple[int, int]]:
-        return set(self.arcs())
-
     def has_arc(self, u: int, v: int) -> bool:
         idx = np.searchsorted(self.out_adj[u], v)
         return idx < len(self.out_adj[u]) and self.out_adj[u][idx] == v
@@ -139,11 +136,6 @@ class Digraph:
 
     def in_degrees(self) -> list[int]:
         return [len(a) for a in self.in_adj]
-
-    def relabel(self, perm: Sequence[int]) -> "Digraph":
-        """New digraph with vertex u renamed to perm[u]."""
-        p = list(perm)
-        return Digraph(self.n, [(p[u], p[v]) for u, v in self.arcs()])
 
     def is_weakly_connected(self) -> bool:
         if self.n == 0:
@@ -182,9 +174,6 @@ class PartitionedDigraph:
     group_order: int
     m: int
 
-    def vertex(self, i: int, g: int) -> int:
-        return i * self.group_order + g
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -222,12 +211,7 @@ def set_conditions(g: GroupTable, conn: ConnectionSets,
     """(oriented, partite, regular), read off the connection sets alone."""
     conn.check_indices(g)
     m = conn.m
-    oriented = True
-    for i in range(m):
-        for j in range(m):
-            inv_ji = {int(g.inv[t]) for t in conn.cell(j, i)}
-            if inv_ji.intersection(conn.cell(i, j)):
-                oriented = False
+    oriented = sets_oriented(g, conn)
     partite = all(not conn.cell(i, i) for i in range(m))
     sizes = conn.size_matrix()
     regular = all(sum(row) == valency for row in sizes) and all(

@@ -3,7 +3,17 @@ k-regular digraphs of small order.
 
 Candidate order is fixed and lexicographic (size matrix, then the cells in
 row-major order, each a sorted tuple), so nonexistence verdicts are
-reproducible and long runs can resume from an enumeration cursor.
+reproducible and long runs can resume from an enumeration cursor.  A
+candidate's rank (its cursor) is its position in this full order, and the
+enumerator seeks a start rank by arithmetic instead of replaying.
+
+Oriented pruning.  A POSR search (without ``naive`` or the Aut(G)
+reduction) enumerates only oriented candidates: a choice for a lower cell
+(i, j), i > j, that meets inv(T_ji) is skipped with its whole subtree, so a
+non-oriented candidate is never built.  Ranks stay those of the full order,
+and ``candidates_examined`` is counted from them, so the skipped ranks count
+as examined and the witness, the count and the cursors are those of the
+full search.
 
 Orbit pruning.  For sigma in Aut(G) and h = (e, h_1, ..., h_{m-1}), the
 vertex map (i, x) -> (i, h_i sigma(x)) is an isomorphism from Cay(T) onto
@@ -34,8 +44,9 @@ decides it with ``is_semiregular_rep`` from scratch, before it is returned.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -84,34 +95,32 @@ def _size_matrices(m: int, valency: int, max_cell: int, partite: bool) -> Iterat
     equal to `valency`, entries <= max_cell, zero diagonal when partite;
     lexicographic over the flattened matrix."""
 
-    cells = np.zeros((m, m), dtype=np.int64)
-    col_sum = np.zeros(m, dtype=np.int64)
+    cells = [0] * (m * m)
+    col_sum = [0] * m
 
-    def rec(pos: int):
+    def rec(pos: int, row_used: int):
         if pos == m * m:
-            yield tuple(int(x) for x in cells.reshape(-1))
+            yield tuple(cells)
             return
         i, j = divmod(pos, m)
-        row_used = int(cells[i, : j].sum())
         if j == m - 1:
             v = valency - row_used
-            choices = [v] if 0 <= v <= max_cell else []
+            choices = (v,) if 0 <= v <= max_cell else ()
         else:
-            choices = range(0, min(max_cell, valency - row_used) + 1)
+            choices = range(min(max_cell, valency - row_used) + 1)
         for v in choices:
-            if partite and i == j and v != 0:
+            if partite and i == j and v:
                 continue
             if col_sum[j] + v > valency:
                 continue
             if i == m - 1 and col_sum[j] + v != valency:
                 continue
-            cells[i, j] = v
+            cells[pos] = v
             col_sum[j] += v
-            yield from rec(pos + 1)
+            yield from rec(pos + 1, 0 if j == m - 1 else row_used + v)
             col_sum[j] -= v
-            cells[i, j] = 0
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def enumerate_connection_sets(
@@ -120,21 +129,125 @@ def enumerate_connection_sets(
     valency: int,
     require_oriented: bool = False,
     require_partite: bool = True,
-) -> Iterator[ConnectionSets]:
-    """All connection-set systems with row and column |T| sums = valency,
-    in a fixed lexicographic order (size matrix, then cell contents)."""
+    start: int = 0,
+) -> Iterator[tuple[int, ConnectionSets]]:
+    """(rank, conn) for the connection-set systems with row and column |T|
+    sums = valency, in a fixed lexicographic order: size matrix, then the
+    cells in row-major order, each cell's k-subsets in ``combinations``
+    order, the last cell varying fastest.  ``rank`` is the position in that
+    full order: the size matrix's offset plus the mixed-radix index of the
+    cells' subset indices.
+
+    With ``require_oriented``, a choice for a lower cell (i, j), i > j, that
+    meets inv(T_ji), and a diagonal choice that meets its own inverse, are
+    skipped with their whole subtrees: only oriented candidates are built,
+    and their ranks are those of the full order.  Ranks below ``start`` are
+    skipped by arithmetic, whole size matrices and subtrees at a time."""
     if valency < 1:
         raise InvalidParameter("valency must be >= 1")
     n = g.order
-    elements = range(n)
+    subsets: dict[int, list[tuple]] = {}
+    # per k: bitmask of each k-subset and of its inverses, and the k-subsets
+    # disjoint from their own inverses; built only when pruning
+    masks: dict[int, list[int]] = {}
+    inv_masks: dict[int, list[int]] = {}
+    self_oriented: dict[int, list[int]] = {}
+    for k in range(min(valency, n) + 1):
+        subsets[k] = list(combinations(range(n), k))
+        if require_oriented:
+            masks[k] = [sum(1 << e for e in s) for s in subsets[k]]
+            inv_masks[k] = [sum(1 << int(g.inv[e]) for e in s) for s in subsets[k]]
+            self_oriented[k] = [x for x in range(len(subsets[k]))
+                                if not masks[k][x] & inv_masks[k][x]]
+    cells = m * m
+
+    def walk(sizes: tuple, weight: list[int], offset: int):
+        """The candidates of one size matrix from rank ``start`` on, depth
+        first over its nonempty cells."""
+        active = [c for c, k in enumerate(sizes) if k]
+        # per active cell: the cell whose choice it must avoid the inverse
+        # of, -1 for a diagonal cell (its own), None for no constraint
+        against = []
+        for c in active:
+            i, j = divmod(c, m)
+            t = j * m + i
+            against.append(None if not require_oriented or i < j or not sizes[t]
+                           else -1 if i == j else t)
+        # the active cells from `free` on are unconstrained
+        free = len(active)
+        while free and against[free - 1] is None:
+            free -= 1
+        cur: list[tuple] = [()] * cells
+        chosen = [0] * cells
+        # per depth, the last (forbidden mask, allowed choices): a lower cell
+        # meets the same transposed choice for every choice of the cells
+        # between them
+        memo: list[tuple] = [(None, None)] * len(active)
+
+        def suffix(base: int):
+            """The subtree below the choices made so far, from the first
+            free cell on: one product over the remaining cells, in
+            consecutive ranks.  A start inside it is split into one digit
+            per cell, and the product resumes from those digits."""
+            c0 = active[free]
+            options = [(cell,) for cell in cur[:c0]] + [subsets[k] for k in sizes[c0:]]
+            skip = max(start - base, 0)
+            if skip:
+                digits = [skip // weight[c] % len(options[c]) for c in range(cells)]
+                pieces = chain.from_iterable(
+                    product(*[(o[x],) for o, x in zip(options, digits[:p])],
+                            options[p][digits[p] + (p < cells - 1):], *options[p + 1:])
+                    for p in range(cells - 1, c0 - 1, -1))
+            else:
+                pieces = product(*options)
+            for rank, flat in enumerate(pieces, base + skip):
+                yield rank, ConnectionSets(m, tuple(flat[r:r + m] for r in range(0, cells, m)))
+
+        def level(depth: int, base: int):
+            if depth == free:
+                yield from suffix(base)
+                return
+            c = active[depth]
+            k = sizes[c]
+            w = weight[c]
+            first = (start - base) // w if start > base else 0
+            t = against[depth]
+            if t is None:
+                choices = range(first, len(subsets[k]))
+            else:
+                if t == -1:
+                    allowed = self_oriented[k]
+                else:
+                    forbid = inv_masks[sizes[t]][chosen[t]]
+                    if memo[depth][0] != forbid:
+                        mk = masks[k]
+                        memo[depth] = (forbid, [x for x in range(len(mk)) if not mk[x] & forbid])
+                    allowed = memo[depth][1]
+                choices = allowed[bisect_left(allowed, first):] if first else allowed
+            options = subsets[k]
+            if depth == len(active) - 1:
+                for x in choices:
+                    cur[c] = options[x]
+                    yield base + x * w, ConnectionSets(
+                        m, tuple(tuple(cur[r:r + m]) for r in range(0, cells, m)))
+            else:
+                for x in choices:
+                    cur[c] = options[x]
+                    chosen[c] = x
+                    yield from level(depth + 1, base + x * w)
+
+        # valency >= 1, so every size matrix has a nonempty cell
+        yield from level(0, offset)
+
+    offset = 0
     for sizes in _size_matrices(m, valency, n, require_partite):
-        cell_choices = [list(combinations(elements, k)) for k in sizes]
-        for combo in product(*cell_choices):
-            sets = tuple(combo[i:i + m] for i in range(0, m * m, m))
-            conn = ConnectionSets(m, sets)
-            if require_oriented and not sets_oriented(g, conn):
-                continue
-            yield conn
+        weight = [1] * cells
+        for c in range(cells - 1, 0, -1):
+            weight[c - 1] = weight[c] * len(subsets[sizes[c]])
+        count = weight[0] * len(subsets[sizes[0]])
+        if offset + count > start:
+            yield from walk(sizes, weight, offset)
+        offset += count
 
 
 def count_connection_sets(g: GroupTable, m: int, valency: int,
@@ -247,20 +360,23 @@ def exists_mposr(
     """Decide whether (g, m) admits an m-POSR / m-PDR of the given valency
     by exhausting every partite candidate.
 
-    candidates_examined counts enumerated partite candidates (including the
-    ones rejected by the cheap oriented filter or skipped as not
-    orbit-minimal).  With reduce_by_group_auts (m=2 only) it counts the
-    candidates that are minimal under Aut(g) alone instead.
+    candidates_examined counts the ranks of the full partite order in the
+    cursor window, up to the witness if one is found (including the
+    non-oriented ones, which a POSR search never builds, and the ones skipped
+    as not orbit-minimal).  With reduce_by_group_auts (m=2 only) it counts
+    the candidates that are minimal under Aut(g) alone instead; that mode
+    and ``naive`` enumerate every candidate, and reduced POSR mode drops the
+    non-oriented ones after enumeration.
 
-    Without ``naive``, a candidate reaches the solver only if it passes the
-    oriented filter (POSR) and is minimal under Aut(g) x {h with at most one
-    h_j != e} (see the module docstring).  The skipped candidates are
-    isomorphic to earlier ones by maps that keep R(g), so the first witness
-    and an ExhaustedNone over the whole enumeration, or over a window that
-    starts at cursor 0, are those of the naive search.  An ExhaustedNone of
-    a window that starts later says only that none of its orbit-minimal
-    candidates is a representation; windows that together cover every
-    cursor still prove nonexistence.
+    Without ``naive``, a candidate reaches the solver only if it is oriented
+    (POSR) and minimal under Aut(g) x {h with at most one h_j != e} (see the
+    module docstring).  The skipped candidates are isomorphic to earlier
+    ones by maps that keep R(g), so the first witness and an ExhaustedNone
+    over the whole enumeration, or over a window that starts at cursor 0,
+    are those of the naive search.  An ExhaustedNone of a window that
+    starts later says only that none of its orbit-minimal candidates is a
+    representation; windows that together cover every cursor still prove
+    nonexistence.
     """
     kind = kind.upper()
     if kind not in ("POSR", "PDR"):
@@ -272,25 +388,41 @@ def exists_mposr(
     auts = group_automorphisms(g) if reduce_by_group_auts or not naive else []
     reps = OrbitFilter(g, m, auts, translations=False) if reduce_by_group_auts else None
     minimal = None if naive else OrbitFilter(g, m, auts, translations=True)
+    # without the Aut(G) reduction, candidates_examined counts ranks, so the
+    # non-oriented subtrees the enumerator skips count as examined
+    prune = kind == "POSR" and not naive and reps is None
+    start = max(cursor_start, 0)
+    stop = total if cursor_stop is None else max(start, min(total, cursor_stop))
     examined = 0
-    for cursor, conn in enumerate(enumerate_connection_sets(g, m, valency)):
-        if cursor < cursor_start:
-            continue
-        if cursor_stop is not None and cursor >= cursor_stop:
+
+    def advance(to: int) -> None:
+        """Set examined to ``to``, reporting each multiple of
+        progress_every passed on the way."""
+        nonlocal examined
+        if progress_every and progress_cb:
+            step = abs(progress_every)
+            for mark in range(examined // step + 1, to // step + 1):
+                progress_cb({
+                    "elapsed_ms": int((time.monotonic() - t0) * 1000),
+                    "examined": mark * step,
+                    "total": total,
+                })
+        examined = to
+
+    for rank, conn in enumerate_connection_sets(g, m, valency, require_oriented=prune,
+                                                 start=start):
+        if rank >= stop:
             break
         if time_budget is not None and time.monotonic() - t0 > time_budget:
-            return SearchOutcome("Aborted", None, examined,
-                                 time.monotonic() - t0, resume_cursor=cursor)
-        if reps is not None and not reps.keeps(conn):
+            # resume from the first rank not yet counted as examined
+            return SearchOutcome("Aborted", None, examined, time.monotonic() - t0,
+                                 resume_cursor=rank if reps is not None else start + examined)
+        if reps is None:
+            advance(rank - start)
+        elif not reps.keeps(conn):
             continue
-        examined += 1
-        if progress_every and examined % progress_every == 0 and progress_cb:
-            progress_cb({
-                "elapsed_ms": int((time.monotonic() - t0) * 1000),
-                "examined": examined,
-                "total": total,
-            })
-        if kind == "POSR" and not naive and not sets_oriented(g, conn):
+        advance(examined + 1)
+        if kind == "POSR" and not naive and not prune and not sets_oriented(g, conn):
             continue
         # enumerated candidates are partite and regular by construction
         if minimal is not None and not minimal.keeps(conn):
@@ -299,6 +431,8 @@ def exists_mposr(
             if not verify_witness(g, conn, kind, node_budget=node_budget):
                 raise WitnessRejected(f"witness {conn.sets} fails the independent re-check")
             return SearchOutcome("FoundWitness", conn, examined, time.monotonic() - t0)
+    if reps is None:
+        advance(stop - start)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)
 
 

@@ -8,7 +8,7 @@ vertex, a group order from a stabilizer chain, relations word by word.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,11 +18,21 @@ from posr.errors import TooLarge
 from posr.groups import GroupTable
 
 
+def arc_set(d: Digraph) -> set[tuple[int, int]]:
+    return set(d.arcs())
+
+
+def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:
+    """New digraph with vertex u renamed to perm[u]."""
+    p = list(perm)
+    return Digraph(d.n, [(p[u], p[v]) for u, v in d.arcs()])
+
+
 def brute_force_automorphisms(d: Digraph) -> list[np.ndarray]:
     """All automorphisms by filtering the n! permutations; oracle, n <= 10."""
     if d.n > 10:
         raise TooLarge("brute force limited to 10 vertices")
-    arcs = d.arc_set()
+    arcs = arc_set(d)
     out = []
     for p in permutations(range(d.n)):
         if all((p[u], p[v]) in arcs for u, v in arcs):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -23,7 +22,12 @@ from posr import autgroup
 from posr.errors import GroupOrderMismatch, InvalidParameter, TooLarge
 from posr.groups import group_from_token
 
-from oracles import brute_force_automorphisms, group_order_from_generators, is_equitable
+from oracles import (
+    brute_force_automorphisms,
+    group_order_from_generators,
+    is_equitable,
+    relabel,
+)
 
 
 def random_digraph(rng, n):
@@ -219,7 +223,7 @@ def test_disjoint_triangles_few_generators(k):
     for seed in range(3):
         perm = list(range(3 * k))
         random.Random(seed).shuffle(perm)
-        res = automorphism_group(d.relabel(perm))
+        res = automorphism_group(relabel(d, perm))
         assert res.order == 3 ** k * factorial(k)
         assert len(res.generators) <= 2 * k
 

@@ -11,7 +11,6 @@ from posr.catalog import (
     _run_claim,
     classify,
     cyclic_posr_sets,
-    fixed_digraph,
     fixed_digraphs,
     load_claims,
     pdr_candidates,

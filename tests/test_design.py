@@ -1,10 +1,10 @@
 """Design rules checked on the source: no exported function without a caller.
 
-Every public module-level function or class in ``src/posr`` must be
-referenced somewhere in ``src/posr`` outside its own definition: called,
-imported, named in an annotation or an ``except``.  Tests and the
-benchmark do not count as callers; a reference implementation that only
-tests use belongs in ``tests/oracles.py``.
+Every public module-level function or class in ``src/posr``, and every
+public method of such a class, must be referenced somewhere in ``src/posr``
+outside its own definition: called, imported, named in an annotation or an
+``except``.  Tests and the benchmark do not count as callers; a reference
+implementation that only tests use belongs in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,14 +39,28 @@ def _names(tree: ast.AST) -> Counter:
     return out
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every module-level function and class and
+    of every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_public_definition_has_a_caller():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     total = sum((_names(tree) for tree in trees.values()), Counter())
     uncalled = sorted(
-        (module, node.name) for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        # references inside the definition itself (recursion) do not count
+        (module, qualname) for module, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if not node.name.startswith("_")
+        # references inside the definition itself (recursion) do not count;
+        # a method counts as called when any attribute of its name is looked
+        # up, whatever the object
         and total[node.name] == _names(node)[node.name]
     )
     extra = [d for d in uncalled if d not in ALLOWED]

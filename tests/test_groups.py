@@ -9,13 +9,11 @@ import pytest
 
 from posr.errors import InvalidParameter, NotTwoGenerated, UnknownGenerator
 from posr.groups import (
-    GroupTable,
     group_automorphisms,
     group_from_permutations,
     group_from_token,
     in_phi,
     parse_word,
-    named_group,
     parse_group_spec,
 )
 

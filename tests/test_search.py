@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, islice, product, takewhile
 
 import numpy as np
 import pytest
 
 from posr import autgroup, cayley, kernels, search
-from posr.cayley import validate_sets
+from posr.cayley import ConnectionSets, sets_oriented, validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
 from posr.search import (
@@ -36,8 +36,8 @@ def test_enumeration_counts():
 
 def test_enumeration_matches_count_and_is_deterministic():
     g = group_from_token("cyclic:5")
-    first = list(enumerate_connection_sets(g, 2, 3))
-    second = list(enumerate_connection_sets(g, 2, 3))
+    first = [conn for _, conn in enumerate_connection_sets(g, 2, 3)]
+    second = [conn for _, conn in enumerate_connection_sets(g, 2, 3)]
     assert first == second
     assert len(first) == 100
     assert len(set(c.sets for c in first)) == 100
@@ -51,11 +51,113 @@ def test_enumeration_oriented_filter():
     g5 = group_from_token("cyclic:5")
     assert list(enumerate_connection_sets(g5, 2, 3, require_oriented=True)) == []
     g = group_from_token("cyclic:6")
-    oriented = list(enumerate_connection_sets(g, 2, 3, require_oriented=True))
+    oriented = [conn for _, conn in enumerate_connection_sets(g, 2, 3, require_oriented=True)]
     assert 0 < len(oriented) < 400
-    from posr.cayley import sets_oriented
-
     assert all(sets_oriented(g, c) for c in oriented)
+
+
+def _product_order(g, m, partite=True):
+    """The full candidate order rebuilt with itertools.product: size
+    matrix, then every cell's k-subsets, the last cell varying fastest."""
+    for sizes in search._size_matrices(m, 3, g.order, partite):
+        cells = [combinations(range(g.order), k) for k in sizes]
+        for combo in product(*cells):
+            yield ConnectionSets(m, tuple(combo[i:i + m] for i in range(0, m * m, m)))
+
+
+ENUM_TOKENS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
+               "klein4", "dihedral:6", "quaternion8")
+ENUM_CASES = [
+    *((token, m, True) for m in (2, 3) for token in ENUM_TOKENS),
+    ("cyclic:2", 4, True), ("cyclic:3", 4, True), ("cyclic:5", 2, False),
+]
+# above this many candidates the full order is compared in windows
+FULL_LIMIT = 30_000
+
+
+@pytest.mark.parametrize("token, m, partite", ENUM_CASES)
+def test_pruned_enumeration_is_the_oriented_subsequence(token, m, partite):
+    g = group_from_token(token)
+    total = count_connection_sets(g, m, 3, require_partite=partite)
+
+    def candidates(oriented, start=0):
+        return enumerate_connection_sets(g, m, 3, require_oriented=oriented,
+                                         require_partite=partite, start=start)
+
+    if total <= FULL_LIMIT:
+        full = [conn for _, conn in candidates(False)]
+        assert full == list(_product_order(g, m, partite))
+        assert list(candidates(True)) == [
+            (rank, conn) for rank, conn in enumerate(full) if sets_oriented(g, conn)]
+        return
+    for start in (total // 7, total // 2, total - 3000):
+        window = list(islice(candidates(False, start), 3000))
+        assert [rank for rank, _ in window] == list(range(start, start + len(window)))
+        end = start + len(window)
+        pruned = list(takewhile(lambda pair: pair[0] < end, candidates(True, start)))
+        assert pruned == [(rank, conn) for rank, conn in window if sets_oriented(g, conn)]
+
+
+@pytest.mark.parametrize("token, m, partite", [
+    ("cyclic:6", 2, True), ("quaternion8", 2, True), ("cyclic:3", 3, True),
+    ("cyclic:2", 4, True), ("cyclic:5", 2, False),
+])
+def test_start_skips_to_the_suffix(token, m, partite):
+    g = group_from_token(token)
+
+    def candidates(oriented, start=0):
+        return list(enumerate_connection_sets(g, m, 3, require_oriented=oriented,
+                                              require_partite=partite, start=start))
+
+    full = candidates(False)
+    pruned = candidates(True)
+    kept = [rank for rank, _ in pruned]
+    skipped = sorted(set(range(len(full))) - set(kept))
+    # about ten ranks inside pruned subtrees, five oriented ranks, the ends
+    starts = skipped[::len(skipped) // 10 + 1] + kept[::len(kept) // 5 + 1]
+    starts += [0, 1, len(full) - 1, len(full), len(full) + 5]
+    for start in starts:
+        assert candidates(False, start) == full[start:]
+        assert candidates(True, start) == [pair for pair in pruned if pair[0] >= start]
+
+
+@pytest.mark.parametrize("token, m", [
+    ("cyclic:6", 2), ("quaternion8", 2), ("cyclic:3", 3), ("klein4", 3),
+    ("cyclic:2", 4), ("cyclic:3", 4),
+])
+def test_cursor_splits_match_naive(token, m):
+    g = group_from_token(token)
+    naive = exists_mposr(g, m, 3, "POSR", naive=True)
+    end = naive.candidates_examined
+    kept = {rank for rank, _ in enumerate_connection_sets(g, m, 3, require_oriented=True)}
+    skipped = [rank for rank in range(end) if rank not in kept]
+    oriented = sorted(rank for rank in kept if rank < end)
+    cut_sets = [
+        [end // 3, end // 2 + 7],
+        [skipped[len(skipped) // 4], skipped[-1]] if skipped else [],
+        [oriented[len(oriented) // 2]] if oriented else [],
+        [1, 2, 3, end - 1],
+    ]
+    for cuts in cut_sets:
+        bounds = [0, *sorted(set(cuts)), None]
+        examined = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            out = exists_mposr(g, m, 3, "POSR", cursor_start=lo, cursor_stop=hi)
+            examined += out.candidates_examined
+            if out.status == "FoundWitness":
+                break
+        assert (out.status, out.witness, examined) == (
+            naive.status, naive.witness, naive.candidates_examined)
+
+
+def test_progress_counts_pruned_ranks():
+    # 2576 of the 3136 candidates are pruned as not oriented, and every
+    # multiple of 100 is still reported once, as the naive search does
+    reports = []
+    out = exists_mposr(group_from_token("quaternion8"), 2, 3, "POSR",
+                       progress_every=100, progress_cb=reports.append)
+    assert out.candidates_examined == 3136
+    assert [r["examined"] for r in reports] == list(range(100, 3136, 100))
 
 
 def test_exists_mposr_verdicts():
@@ -121,6 +223,30 @@ def test_aborted_reports_resume_cursor():
     assert out.resume_cursor is not None
 
 
+class _Clock:
+    """A monotonic clock that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_abort_resumes_at_the_first_unexamined_rank(monkeypatch):
+    g = group_from_token("quaternion8")
+    whole = exists_mposr(g, 2, 3, "POSR")
+    monkeypatch.setattr(search, "time", _Clock())
+    for start, budget in ((0, 0.0), (37, 0.0), (0, 5.0), (100, 50.0)):
+        out = exists_mposr(g, 2, 3, "POSR", time_budget=budget, cursor_start=start)
+        assert out.status == "Aborted"
+        assert out.resume_cursor == start + out.candidates_examined
+        rest = exists_mposr(g, 2, 3, "POSR", cursor_start=out.resume_cursor)
+        assert out.candidates_examined + rest.candidates_examined == (
+            whole.candidates_examined - start)
+
+
 def test_progress_reporting():
     seen = []
     exists_mposr(group_from_token("cyclic:6"), 2, 3, "POSR",
@@ -164,7 +290,7 @@ def _brute_force_minimal(g, conn, auts, translations):
 def test_orbit_filter_matches_brute_force(token, m, limit, translations):
     g = group_from_token(token)
     auts = group_automorphisms(g)
-    conns = list(enumerate_connection_sets(g, m, 3))[:limit]
+    conns = [conn for _, conn in enumerate_connection_sets(g, m, 3)][:limit]
     truth = [_brute_force_minimal(g, c, auts, translations) for c in conns]
     assert 0 < sum(truth) < len(conns)
     # in enumeration order, where consecutive candidates share leading cells,
@@ -264,7 +390,7 @@ def test_one_build_per_candidate(monkeypatch):
     monkeypatch.setattr(search, "build_cayley", counting_build)
     g = group_from_token("cyclic:7")
     for naive in (False, True):
-        for conn in list(enumerate_connection_sets(g, 2, 3))[:60]:
+        for _, conn in list(enumerate_connection_sets(g, 2, 3))[:60]:
             before = len(builds)
             search._candidate_is_rep(g, conn, "PDR", 10**8, naive)
             assert builds[before:] == [conn]
