@@ -408,11 +408,23 @@ class SuiteBudget:
     time_budget_per_claim: float | None = None
 
 
+# the claim options that _check_claim reads
+_CLAIM_OPTIONS = {"valency", "oriented"}
+
+
 def load_claims() -> list[Claim]:
-    raw = json.loads(
-        resources.files("posr").joinpath("data/claims.json").read_text()
-    )
-    return [Claim(**entry) for entry in raw["claims"]]
+    return _parse_claims(resources.files("posr").joinpath("data/claims.json").read_text())
+
+
+def _parse_claims(text: str) -> list[Claim]:
+    """The claims of a registry file; an option that no check reads is an
+    error, not silently ignored."""
+    claims = [Claim(**entry) for entry in json.loads(text)["claims"]]
+    for claim in claims:
+        unknown = sorted(set(claim.options) - _CLAIM_OPTIONS)
+        if unknown:
+            raise InvalidParameter(f"claim {claim.name!r} has unknown options {unknown}")
+    return claims
 
 
 def _run_claim(claim: Claim, budget: SuiteBudget) -> ClaimResult:
@@ -471,9 +483,7 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
         else:
             outcome = exists_mposr(
                 g, claim.m, claim.options.get("valency", 3), claim.kind,
-                node_budget=budget.node_budget,
-                reduce_by_group_auts=claim.options.get("reduce_by_group_auts", False),
-                time_budget=budget.time_budget_per_claim,
+                node_budget=budget.node_budget, time_budget=budget.time_budget_per_claim,
             )
         if outcome.status == "ExhaustedNone":
             return done("Pass", f"exhausted {outcome.candidates_examined} candidates")

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --antisym: forbid digons")
     p.add_argument("--naive", action="store_true",
                    help="disable the quick-reject pipeline (oracle mode)")
-    p.add_argument("--reduce-by-group-auts", action="store_true")
     p.add_argument("--cursor-start", type=int, default=0)
     p.add_argument("--cursor-stop", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
@@ -98,8 +97,7 @@ def _cmd_search(args) -> int:
             return 2
         outcome = exists_mposr(
             group_from_token(args.group), args.m, args.valency, args.kind.upper(),
-            naive=args.naive, reduce_by_group_auts=args.reduce_by_group_auts,
-            cursor_start=args.cursor_start, cursor_stop=args.cursor_stop,
+            naive=args.naive, cursor_start=args.cursor_start, cursor_stop=args.cursor_stop,
             time_budget=args.time_budget,
             progress_every=args.progress_every,
             progress_cb=lambda p: print(_dump(p).replace("\n", " "), file=sys.stderr),

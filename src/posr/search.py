@@ -7,10 +7,12 @@ reproducible and long runs can resume from an enumeration cursor.  A
 candidate's rank (its cursor) is its position in this full order, and the
 enumerator seeks a start rank by arithmetic instead of replaying.
 
-Oriented pruning.  A POSR search (without ``naive`` or the Aut(G)
-reduction) enumerates only oriented candidates: a choice for a lower cell
-(i, j), i > j, that meets inv(T_ji) is skipped with its whole subtree, so a
-non-oriented candidate is never built.  Ranks stay those of the full order,
+Every candidate is m-partite: its diagonal cells T_ii are empty.
+
+Oriented pruning.  A POSR search (without ``naive``) enumerates only
+oriented candidates: a choice for a lower cell (i, j), i > j, that meets
+inv(T_ji) is skipped with its whole subtree, so a non-oriented candidate is
+never built.  Ranks stay those of the full order,
 and ``candidates_examined`` is counted from them, so the skipped ranks count
 as examined and the witness, the count and the cursors are those of the
 full search.
@@ -46,7 +48,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, product
+from math import comb, prod
 from typing import Callable, Iterator
 
 import numpy as np
@@ -58,7 +62,6 @@ from .cayley import (
     Digraph,
     build_cayley,
     set_conditions,
-    sets_oriented,
     validate_sets,
 )
 from .errors import InvalidParameter, TooLarge, WitnessRejected
@@ -90,37 +93,66 @@ class SearchOutcome:
         return payload
 
 
-def _size_matrices(m: int, valency: int, max_cell: int, partite: bool) -> Iterator[tuple]:
-    """All m x m nonnegative integer matrices with every row and column sum
-    equal to `valency`, entries <= max_cell, zero diagonal when partite;
-    lexicographic over the flattened matrix."""
+def _compositions(m: int, total: int, cap: int) -> list[tuple]:
+    """The length-m tuples of integers in [0, cap] that sum to ``total``, in
+    lexicographic order."""
+    if m == 0:
+        return [()] if total == 0 else []
+    return [(v, *rest) for v in range(min(cap, total) + 1)
+            for rest in _compositions(m - 1, total - v, cap)]
 
-    cells = [0] * (m * m)
-    col_sum = [0] * m
 
-    def rec(pos: int, row_used: int):
-        if pos == m * m:
-            yield tuple(cells)
+@lru_cache(maxsize=16)
+def _size_layout(n: int, m: int, valency: int):
+    """The size matrices over a group of order n, shared by the count and the
+    enumeration of one (n, m, valency): per row index i, the rows it may take
+    (zero at i, entries <= n, sum ``valency``) with the number of cell choices
+    of each, and ``count(i, room)``, the number of candidates whose rows from
+    i on have the column sums ``room``."""
+    if m < 1:
+        raise InvalidParameter("m must be >= 1")
+    every = [(r, prod(comb(n, k) for k in r)) for r in _compositions(m, valency, min(n, valency))]
+    rows = [[(r, w) for r, w in every if not r[i]] for i in range(m)]
+
+    @lru_cache(maxsize=None)
+    def count(i: int, room: tuple) -> int:
+        if i == m:
+            # every row sums to valency, so the room left is all zero
+            return 1
+        return sum(w * count(i + 1, rest) for r, w, rest in _fits(rows[i], room))
+
+    return rows, count
+
+
+def _fits(rows: list[tuple], room: tuple) -> Iterator[tuple]:
+    """(row, choices, room left) for each row that fits in ``room``."""
+    for r, w in rows:
+        rest = tuple(b - a for a, b in zip(r, room))
+        if min(rest) >= 0:
+            yield r, w, rest
+
+
+def _size_matrices(n: int, m: int, valency: int, start: int = 0) -> Iterator[tuple]:
+    """(sizes, offset) for each m x m nonnegative integer matrix with zero
+    diagonal, entries <= n and every row and column sum equal to `valency`,
+    lexicographic over the flattened matrix; offset is the rank of the
+    matrix's first candidate.  Matrices whose candidates all rank below
+    ``start`` are skipped by arithmetic, whole row prefixes at a time."""
+    rows, count = _size_layout(n, m, valency)
+
+    def rec(i: int, room: tuple, prefix: tuple, offset: int, scale: int):
+        """The matrices below the rows ``prefix``, whose cells have ``scale``
+        choices, from rank ``offset`` on."""
+        if i == m:
+            yield prefix, offset
             return
-        i, j = divmod(pos, m)
-        if j == m - 1:
-            v = valency - row_used
-            choices = (v,) if 0 <= v <= max_cell else ()
-        else:
-            choices = range(min(max_cell, valency - row_used) + 1)
-        for v in choices:
-            if partite and i == j and v:
-                continue
-            if col_sum[j] + v > valency:
-                continue
-            if i == m - 1 and col_sum[j] + v != valency:
-                continue
-            cells[pos] = v
-            col_sum[j] += v
-            yield from rec(pos + 1, 0 if j == m - 1 else row_used + v)
-            col_sum[j] -= v
+        for r, w, rest in _fits(rows[i], room):
+            size = scale * w * count(i + 1, rest)
+            if size and offset + size > start:
+                yield from rec(i + 1, rest, prefix + r, offset, scale * w)
+            offset += size
 
-    yield from rec(0, 0)
+    yield from rec(0, (valency,) * m, (), 0, 1)
 
 
 def enumerate_connection_sets(
@@ -128,37 +160,32 @@ def enumerate_connection_sets(
     m: int,
     valency: int,
     require_oriented: bool = False,
-    require_partite: bool = True,
     start: int = 0,
 ) -> Iterator[tuple[int, ConnectionSets]]:
-    """(rank, conn) for the connection-set systems with row and column |T|
-    sums = valency, in a fixed lexicographic order: size matrix, then the
-    cells in row-major order, each cell's k-subsets in ``combinations``
-    order, the last cell varying fastest.  ``rank`` is the position in that
-    full order: the size matrix's offset plus the mixed-radix index of the
-    cells' subset indices.
+    """(rank, conn) for the m-partite connection-set systems (every T_ii
+    empty) with row and column |T| sums = valency, in a fixed lexicographic
+    order: size matrix, then the cells in row-major order, each cell's
+    k-subsets in ``combinations`` order, the last cell varying fastest.
+    ``rank`` is the position in that full order: the size matrix's offset
+    plus the mixed-radix index of the cells' subset indices.
 
     With ``require_oriented``, a choice for a lower cell (i, j), i > j, that
-    meets inv(T_ji), and a diagonal choice that meets its own inverse, are
-    skipped with their whole subtrees: only oriented candidates are built,
-    and their ranks are those of the full order.  Ranks below ``start`` are
+    meets inv(T_ji) is skipped with its whole subtree: only oriented
+    candidates are built, and their ranks are those of the full order.  Ranks below ``start`` are
     skipped by arithmetic, whole size matrices and subtrees at a time."""
     if valency < 1:
         raise InvalidParameter("valency must be >= 1")
     n = g.order
     subsets: dict[int, list[tuple]] = {}
-    # per k: bitmask of each k-subset and of its inverses, and the k-subsets
-    # disjoint from their own inverses; built only when pruning
+    # per k: bitmask of each k-subset and of its inverses; built only when
+    # pruning
     masks: dict[int, list[int]] = {}
     inv_masks: dict[int, list[int]] = {}
-    self_oriented: dict[int, list[int]] = {}
     for k in range(min(valency, n) + 1):
         subsets[k] = list(combinations(range(n), k))
         if require_oriented:
             masks[k] = [sum(1 << e for e in s) for s in subsets[k]]
             inv_masks[k] = [sum(1 << int(g.inv[e]) for e in s) for s in subsets[k]]
-            self_oriented[k] = [x for x in range(len(subsets[k]))
-                                if not masks[k][x] & inv_masks[k][x]]
     cells = m * m
 
     def walk(sizes: tuple, weight: list[int], offset: int):
@@ -166,13 +193,12 @@ def enumerate_connection_sets(
         first over its nonempty cells."""
         active = [c for c, k in enumerate(sizes) if k]
         # per active cell: the cell whose choice it must avoid the inverse
-        # of, -1 for a diagonal cell (its own), None for no constraint
+        # of, None for no constraint
         against = []
         for c in active:
             i, j = divmod(c, m)
             t = j * m + i
-            against.append(None if not require_oriented or i < j or not sizes[t]
-                           else -1 if i == j else t)
+            against.append(None if not require_oriented or i < j or not sizes[t] else t)
         # the active cells from `free` on are unconstrained
         free = len(active)
         while free and against[free - 1] is None:
@@ -215,14 +241,11 @@ def enumerate_connection_sets(
             if t is None:
                 choices = range(first, len(subsets[k]))
             else:
-                if t == -1:
-                    allowed = self_oriented[k]
-                else:
-                    forbid = inv_masks[sizes[t]][chosen[t]]
-                    if memo[depth][0] != forbid:
-                        mk = masks[k]
-                        memo[depth] = (forbid, [x for x in range(len(mk)) if not mk[x] & forbid])
-                    allowed = memo[depth][1]
+                forbid = inv_masks[sizes[t]][chosen[t]]
+                if memo[depth][0] != forbid:
+                    mk = masks[k]
+                    memo[depth] = (forbid, [x for x in range(len(mk)) if not mk[x] & forbid])
+                allowed = memo[depth][1]
                 choices = allowed[bisect_left(allowed, first):] if first else allowed
             options = subsets[k]
             if depth == len(active) - 1:
@@ -239,26 +262,17 @@ def enumerate_connection_sets(
         # valency >= 1, so every size matrix has a nonempty cell
         yield from level(0, offset)
 
-    offset = 0
-    for sizes in _size_matrices(m, valency, n, require_partite):
+    for sizes, offset in _size_matrices(n, m, valency, start):
         weight = [1] * cells
         for c in range(cells - 1, 0, -1):
             weight[c - 1] = weight[c] * len(subsets[sizes[c]])
-        count = weight[0] * len(subsets[sizes[0]])
-        if offset + count > start:
-            yield from walk(sizes, weight, offset)
-        offset += count
+        yield from walk(sizes, weight, offset)
 
 
-def count_connection_sets(g: GroupTable, m: int, valency: int,
-                          require_partite: bool = True) -> int:
-    total = 0
-    for sizes in _size_matrices(m, valency, g.order, require_partite):
-        prod = 1
-        for k in sizes:
-            prod *= kernels.count_combinations(g.order, k)
-        total += prod
-    return total
+def count_connection_sets(g: GroupTable, m: int, valency: int) -> int:
+    """The number of candidates ``enumerate_connection_sets`` ranks."""
+    _, count = _size_layout(g.order, m, valency)
+    return count(0, (valency,) * m)
 
 
 def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
@@ -278,20 +292,18 @@ class OrbitFilter:
     """Orbit-minimality test for the candidates of one (G, m).
 
     The maps tested, S, are sigma in Aut(G) with h = (e, h_1, ..., h_{m-1})
-    having at most one h_j != e (``translations``), or Aut(G) alone; each
-    sends T to T'_ij = h_j sigma(T_ij) h_i^-1.  ``keeps(conn)`` is True iff
-    no map in S sends conn to a lexicographically smaller candidate (cells
-    in row-major order, each a sorted tuple).  S is kept as index arrays and
-    each cell's images are temporaries.
+    having at most one h_j != e; each sends T to T'_ij = h_j sigma(T_ij)
+    h_i^-1.  ``keeps(conn)`` is True iff no map in S sends conn to a
+    lexicographically smaller candidate (cells in row-major order, each a
+    sorted tuple).  S is kept as index arrays and each cell's images are
+    temporaries.
     """
 
-    def __init__(self, g: GroupTable, m: int, auts: list[np.ndarray], translations: bool):
+    def __init__(self, g: GroupTable, m: int, auts: list[np.ndarray]):
         self.g = g
-        self.translations = translations
         self.auts = np.array(auts, dtype=np.int64).reshape(len(auts), g.order)
-        shifts = [(0, g.identity)]
-        if translations:
-            shifts += [(j, h) for j in range(1, m) for h in range(g.order) if h != g.identity]
+        shifts = [(0, g.identity), *((j, h) for j in range(1, m) for h in range(g.order)
+                                     if h != g.identity)]
         part, h = np.array(shifts, dtype=np.int64).T
         sigma = np.repeat(np.arange(len(auts)), len(shifts))
         maps = np.stack([sigma, np.tile(part, len(auts)), np.tile(h, len(auts))])
@@ -350,7 +362,6 @@ def exists_mposr(
     kind: str = "POSR",
     node_budget: int = DEFAULT_NODE_BUDGET,
     naive: bool = False,
-    reduce_by_group_auts: bool = False,
     cursor_start: int = 0,
     cursor_stop: int | None = None,
     time_budget: float | None = None,
@@ -363,10 +374,8 @@ def exists_mposr(
     candidates_examined counts the ranks of the full partite order in the
     cursor window, up to the witness if one is found (including the
     non-oriented ones, which a POSR search never builds, and the ones skipped
-    as not orbit-minimal).  With reduce_by_group_auts (m=2 only) it counts
-    the candidates that are minimal under Aut(g) alone instead; that mode
-    and ``naive`` enumerate every candidate, and reduced POSR mode drops the
-    non-oriented ones after enumeration.
+    as not orbit-minimal).  ``naive`` mode enumerates and solves every
+    candidate.
 
     Without ``naive``, a candidate reaches the solver only if it is oriented
     (POSR) and minimal under Aut(g) x {h with at most one h_j != e} (see the
@@ -383,14 +392,10 @@ def exists_mposr(
         raise InvalidParameter(f"unknown kind {kind!r}")
     t0 = time.monotonic()
     total = count_connection_sets(g, m, valency)
-    if reduce_by_group_auts and m != 2:
-        raise InvalidParameter("Aut(G) reduction is implemented for m=2 only")
-    auts = group_automorphisms(g) if reduce_by_group_auts or not naive else []
-    reps = OrbitFilter(g, m, auts, translations=False) if reduce_by_group_auts else None
-    minimal = None if naive else OrbitFilter(g, m, auts, translations=True)
-    # without the Aut(G) reduction, candidates_examined counts ranks, so the
-    # non-oriented subtrees the enumerator skips count as examined
-    prune = kind == "POSR" and not naive and reps is None
+    minimal = None if naive else OrbitFilter(g, m, group_automorphisms(g))
+    # candidates_examined counts ranks, so the non-oriented subtrees the
+    # enumerator skips count as examined
+    prune = kind == "POSR" and not naive
     start = max(cursor_start, 0)
     stop = total if cursor_stop is None else max(start, min(total, cursor_stop))
     examined = 0
@@ -416,14 +421,8 @@ def exists_mposr(
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             # resume from the first rank not yet counted as examined
             return SearchOutcome("Aborted", None, examined, time.monotonic() - t0,
-                                 resume_cursor=rank if reps is not None else start + examined)
-        if reps is None:
-            advance(rank - start)
-        elif not reps.keeps(conn):
-            continue
-        advance(examined + 1)
-        if kind == "POSR" and not naive and not prune and not sets_oriented(g, conn):
-            continue
+                                 resume_cursor=start + examined)
+        advance(rank - start + 1)
         # enumerated candidates are partite and regular by construction
         if minimal is not None and not minimal.keeps(conn):
             continue
@@ -431,8 +430,7 @@ def exists_mposr(
             if not verify_witness(g, conn, kind, node_budget=node_budget):
                 raise WitnessRejected(f"witness {conn.sets} fails the independent re-check")
             return SearchOutcome("FoundWitness", conn, examined, time.monotonic() - t0)
-    if reps is None:
-        advance(stop - start)
+    advance(stop - start)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)
 
 
@@ -470,7 +468,7 @@ def exists_antisymmetric_kregular(
         # the kernel packs each out-set into an int64 bitmask
         raise TooLarge(f"rigid-digraph search limited to 63 vertices, got {m}")
     t0 = time.monotonic()
-    if m == 1 and k >= 1 or m - 1 < k:
+    if m - 1 < k:
         return SearchOutcome("ExhaustedNone", None, 0, time.monotonic() - t0)
     total_chunks = kernels.count_combinations(m - 1, k)  # upper bound on ranks
     flag = 1 if oriented else 0

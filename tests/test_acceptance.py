@@ -125,7 +125,7 @@ def test_c04_order16_exhausted(token):
 @extended
 def test_c04_order32_exhausted():
     g = group_from_token("smallgroup:32:2")
-    out = exists_mposr(g, 2, 3, "POSR", reduce_by_group_auts=True)
+    out = exists_mposr(g, 2, 3, "POSR")
     assert out.status == "ExhaustedNone", f"witness found: {out.witness.to_json(g)}"
 
 

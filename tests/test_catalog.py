@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from posr.autgroup import automorphism_group, is_semiregular_rep
 from posr.catalog import (
     Claim,
     SuiteBudget,
+    _parse_claims,
     _run_claim,
     classify,
     cyclic_posr_sets,
@@ -19,7 +22,7 @@ from posr.catalog import (
     verify_all,
 )
 from posr.cayley import build_cayley, validate_sets
-from posr.errors import NoCandidate, OutOfRange, PreconditionFailed
+from posr.errors import InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed
 from posr.groups import group_from_token, parse_group_spec
 from posr.search import verify_witness
 
@@ -172,6 +175,18 @@ def test_claims_registry_well_formed():
         assert c.source
         if c.expected == "exists_with_witness":
             assert c.sets is not None and c.group and c.m >= 2
+
+
+def test_unknown_claim_option_rejected():
+    claim = {"name": "q8-none", "tier": "extended", "expected": "not_exists",
+             "kind": "POSR", "group": "quaternion8", "m": 2, "source": "Theorem 1.2"}
+    assert _parse_claims(json.dumps({"claims": [claim]}))[0].options == {}
+    known = {**claim, "options": {"valency": 3, "oriented": True}}
+    assert _parse_claims(json.dumps({"claims": [known]}))[0].options["valency"] == 3
+    # an option that no check reads would be silently ignored
+    stale = {**claim, "options": {"valency": 3, "naive": True}}
+    with pytest.raises(InvalidParameter, match="naive"):
+        _parse_claims(json.dumps({"claims": [stale]}))
 
 
 def test_negative_control_corrupted_witness():

@@ -91,6 +91,7 @@ def test_usage_errors():
     assert run(["frobnicate"]) == 2
     assert run(["classify", "--group", "cyclic:6"]) == 2  # missing --m
     assert run(["search", "--m", "2"]) == 2  # no group, no --antisym
+    assert run(["search", "--group", "cyclic:5", "--m", "0"]) == 2
     assert run(["aut", "--input", "/nonexistent/file"]) == 2
 
 
@@ -138,6 +139,18 @@ def test_verify_budget_exit_codes(monkeypatch, capsys):
     by_name = {r["name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
     assert by_name["cyclic7-m2-posr-digons"]["status"] == "Fail"
     assert by_name["cyclic7-m2-posr"]["detail"].startswith("budget exceeded")
+
+
+def test_removed_reduction_flag_is_usage_error(capsys):
+    # the default search already reduces by Aut(G) x one-part translations
+    # and counts every rank of the full order
+    assert run(["search", "--group", "quaternion8", "--m", "2",
+                "--reduce-by-group-auts"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["search", "--group", "quaternion8", "--m", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "ExhaustedNone"
+    assert payload["candidates_examined"] == 3136
 
 
 def test_threads_flag_is_usage_error(capsys):

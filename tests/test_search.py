@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, islice, product, takewhile
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -29,8 +30,6 @@ def test_enumeration_counts():
     # C(n,3)^2 for cyclic n >= 3 at m=2
     for n in (5, 7):
         g = group_from_token(f"cyclic:{n}")
-        from math import comb
-
         assert count_connection_sets(g, 2, 3) == comb(n, 3) ** 2
 
 
@@ -56,37 +55,65 @@ def test_enumeration_oriented_filter():
     assert all(sets_oriented(g, c) for c in oriented)
 
 
-def _product_order(g, m, partite=True):
+def _brute_size_matrices(n, m, valency=3):
+    """Every m x m matrix with zero diagonal, entries <= n and all row and
+    column sums equal to valency, flattened, in lexicographic order."""
+    rows = [r for r in product(range(min(n, valency) + 1), repeat=m) if sum(r) == valency]
+    for matrix in product(*([r for r in rows if not r[i]] for i in range(m))):
+        if all(sum(col) == valency for col in zip(*matrix)):
+            yield sum(matrix, ())
+
+
+def _product_order(g, m):
     """The full candidate order rebuilt with itertools.product: size
     matrix, then every cell's k-subsets, the last cell varying fastest."""
-    for sizes in search._size_matrices(m, 3, g.order, partite):
+    for sizes in _brute_size_matrices(g.order, m):
         cells = [combinations(range(g.order), k) for k in sizes]
         for combo in product(*cells):
             yield ConnectionSets(m, tuple(combo[i:i + m] for i in range(0, m * m, m)))
 
 
+def _case(token, m):
+    # the "-True" id suffix named the m-partite candidate space when a
+    # non-partite one existed; it is kept so that the case ids stay stable
+    return pytest.param(token, m, id=f"{token}-{m}-True")
+
+
 ENUM_TOKENS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
                "klein4", "dihedral:6", "quaternion8")
 ENUM_CASES = [
-    *((token, m, True) for m in (2, 3) for token in ENUM_TOKENS),
-    ("cyclic:2", 4, True), ("cyclic:3", 4, True), ("cyclic:5", 2, False),
+    *(_case(token, m) for m in (2, 3) for token in ENUM_TOKENS),
+    _case("cyclic:2", 4), _case("cyclic:3", 4),
 ]
 # above this many candidates the full order is compared in windows
 FULL_LIMIT = 30_000
 
 
-@pytest.mark.parametrize("token, m, partite", ENUM_CASES)
-def test_pruned_enumeration_is_the_oriented_subsequence(token, m, partite):
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (8, 3), (1, 4), (2, 4),
+                                  (3, 4)])
+def test_size_matrices_match_brute_force(n, m):
+    layout = list(search._size_matrices(n, m, 3))
+    assert [sizes for sizes, _ in layout] == list(_brute_size_matrices(n, m))
+    # each offset is the rank of the matrix's first candidate
+    ends = [offset + prod(comb(n, k) for k in sizes) for sizes, offset in layout]
+    assert [offset for _, offset in layout] == [0, *ends][:len(layout)]
+    # a start inside a matrix keeps it and drops the ones before it
+    for k in range(0, len(layout), len(layout) // 20 + 1):
+        for start in (layout[k][1], ends[k] - 1):
+            assert list(search._size_matrices(n, m, 3, start)) == layout[k:]
+
+
+@pytest.mark.parametrize("token, m", ENUM_CASES)
+def test_pruned_enumeration_is_the_oriented_subsequence(token, m):
     g = group_from_token(token)
-    total = count_connection_sets(g, m, 3, require_partite=partite)
+    total = count_connection_sets(g, m, 3)
 
     def candidates(oriented, start=0):
-        return enumerate_connection_sets(g, m, 3, require_oriented=oriented,
-                                         require_partite=partite, start=start)
+        return enumerate_connection_sets(g, m, 3, require_oriented=oriented, start=start)
 
     if total <= FULL_LIMIT:
         full = [conn for _, conn in candidates(False)]
-        assert full == list(_product_order(g, m, partite))
+        assert full == list(_product_order(g, m))
         assert list(candidates(True)) == [
             (rank, conn) for rank, conn in enumerate(full) if sets_oriented(g, conn)]
         return
@@ -98,16 +125,14 @@ def test_pruned_enumeration_is_the_oriented_subsequence(token, m, partite):
         assert pruned == [(rank, conn) for rank, conn in window if sets_oriented(g, conn)]
 
 
-@pytest.mark.parametrize("token, m, partite", [
-    ("cyclic:6", 2, True), ("quaternion8", 2, True), ("cyclic:3", 3, True),
-    ("cyclic:2", 4, True), ("cyclic:5", 2, False),
+@pytest.mark.parametrize("token, m", [
+    _case("cyclic:6", 2), _case("quaternion8", 2), _case("cyclic:3", 3), _case("cyclic:2", 4),
 ])
-def test_start_skips_to_the_suffix(token, m, partite):
+def test_start_skips_to_the_suffix(token, m):
     g = group_from_token(token)
 
     def candidates(oriented, start=0):
-        return list(enumerate_connection_sets(g, m, 3, require_oriented=oriented,
-                                              require_partite=partite, start=start))
+        return list(enumerate_connection_sets(g, m, 3, require_oriented=oriented, start=start))
 
     full = candidates(False)
     pruned = candidates(True)
@@ -255,22 +280,13 @@ def test_progress_reporting():
     assert seen[0]["examined"] == 100 and seen[0]["total"] == 400
 
 
-def test_aut_reduction_preserves_verdict():
-    g = group_from_token("quaternion8")
-    plain = exists_mposr(g, 2, 3, "POSR")
-    reduced = exists_mposr(g, 2, 3, "POSR", reduce_by_group_auts=True)
-    assert plain.status == reduced.status == "ExhaustedNone"
-    assert reduced.candidates_examined < plain.candidates_examined
-
-
-def _brute_force_minimal(g, conn, auts, translations):
+def _brute_force_minimal(g, conn, auts):
     """No map of S gives a smaller candidate, each image built in plain
     Python: T'_ij = h_j sigma(T_ij) h_i^-1 with at most one h_j != e."""
     m = conn.m
     shifts = [[0] * m]
-    if translations:
-        shifts += [[h if k == j else 0 for k in range(m)]
-                   for j in range(1, m) for h in range(1, g.order)]
+    shifts += [[h if k == j else 0 for k in range(m)]
+               for j in range(1, m) for h in range(1, g.order)]
     for sigma, h in product(auts, shifts):
         image = tuple(
             tuple(tuple(sorted(g.mul(g.mul(h[j], int(sigma[t])), g.inverse(h[i]))
@@ -286,42 +302,41 @@ def _brute_force_minimal(g, conn, auts, translations):
     ("dihedral:8", 2, 1200), ("quaternion8", 2, 1200),
     ("cyclic:6", 2, None), ("cyclic:3", 3, None), ("klein4", 3, 1500),
 ])
-@pytest.mark.parametrize("translations", [False, True])
-def test_orbit_filter_matches_brute_force(token, m, limit, translations):
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_orbit_filter_matches_brute_force(token, m, limit, shuffled):
     g = group_from_token(token)
     auts = group_automorphisms(g)
     conns = [conn for _, conn in enumerate_connection_sets(g, m, 3)][:limit]
-    truth = [_brute_force_minimal(g, c, auts, translations) for c in conns]
+    truth = [_brute_force_minimal(g, c, auts) for c in conns]
     assert 0 < sum(truth) < len(conns)
     # in enumeration order, where consecutive candidates share leading cells,
-    # and shuffled
-    in_order = OrbitFilter(g, m, auts, translations)
-    assert [in_order.keeps(c) for c in conns] == truth
+    # or shuffled, where the cached prefix keeps changing
     order = list(range(len(conns)))
-    random.Random(5).shuffle(order)
-    shuffled = OrbitFilter(g, m, auts, translations)
-    assert [shuffled.keeps(conns[k]) for k in order] == [truth[k] for k in order]
+    if shuffled:
+        random.Random(5).shuffle(order)
+    test = OrbitFilter(g, m, auts)
+    assert [test.keeps(conns[k]) for k in order] == [truth[k] for k in order]
 
 
 @pytest.mark.parametrize("token, status, examined, witness", [
     pytest.param("cyclic:2", "ExhaustedNone", 0, None, id="cyclic:2"),
-    pytest.param("quaternion8", "ExhaustedNone", 163, None, id="quaternion8"),
+    pytest.param("quaternion8", "ExhaustedNone", 3136, None, id="quaternion8"),
     pytest.param("dihedral:8", "FoundWitness", 31, [[[], [0, 1, 2]], [[1, 4, 5], []]],
                  id="dihedral:8"),
-    pytest.param("smallgroup:32:2", "FoundWitness", 243, [[[], [0, 1, 2]], [[1, 2, 4], []]],
+    pytest.param("smallgroup:32:2", "FoundWitness", 467, [[[], [0, 1, 2]], [[1, 2, 4], []]],
                  id="smallgroup:32:2"),
 ])
 def test_aut_reduced_search_results(token, status, examined, witness):
-    # the seeded one-pass check and the full unseeded solver agree
+    # the search reduced by Aut(G) x one-part translations, with the seeded
+    # one-pass check, agrees with the naive search and the full solver
     for naive in (False, True):
-        out = exists_mposr(group_from_token(token), 2, 3, "POSR",
-                           reduce_by_group_auts=True, naive=naive)
+        out = exists_mposr(group_from_token(token), 2, 3, "POSR", naive=naive)
         assert out.status == status
         assert out.candidates_examined == examined
         assert (out.witness.to_json()["sets"] if out.witness else None) == witness
 
 
-def _seeded_pass_refines(monkeypatch, token, m, reduced):
+def _seeded_pass_refines(monkeypatch, token, m):
     """Status and refinement calls inside the seeded one-pass checks of one
     search."""
     calls = []
@@ -341,41 +356,36 @@ def _seeded_pass_refines(monkeypatch, token, m, reduced):
 
     monkeypatch.setattr(kernels, "refine_partition", counting_refine)
     monkeypatch.setattr(autgroup, "find_nontrivial_automorphism", counting_check)
-    out = exists_mposr(group_from_token(token), m, 3, "POSR", reduce_by_group_auts=reduced)
+    out = exists_mposr(group_from_token(token), m, 3, "POSR")
     return out.status, sum(inner)
 
 
-@pytest.mark.parametrize("token,m,reduced,status,refines", [
-    ("cyclic:2", 2, True, "ExhaustedNone", 0),
-    ("quaternion8", 2, True, "ExhaustedNone", 133),
-    ("dihedral:8", 2, True, "FoundWitness", 13),
-    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
-    ("quaternion8", 2, False, "ExhaustedNone", 2176),
-    ("klein4", 3, False, "FoundWitness", 276),
+@pytest.mark.parametrize("token,m,status,refines", [
+    ("cyclic:2", 2, "ExhaustedNone", 0),
+    ("quaternion8", 2, "ExhaustedNone", 2176),
+    ("dihedral:8", 2, "FoundWitness", 13),
+    ("smallgroup:32:2", 2, "FoundWitness", 6),
+    ("klein4", 3, "FoundWitness", 276),
 ])
-def test_seeded_pass_work_pinned(monkeypatch, token, m, reduced, status, refines):
+def test_seeded_pass_work_pinned(monkeypatch, token, m, status, refines):
     # the seeded one-pass check never records a generator, so the orbit
     # pruning below depth 0 costs it nothing: its refinement calls over a
     # whole search are pinned.  Here every candidate that passes the
-    # oriented filter (and the Aut(G) reduction) reaches the solver.
-    keeps = OrbitFilter.keeps
-    monkeypatch.setattr(OrbitFilter, "keeps",
-                        lambda self, conn: self.translations or keeps(self, conn))
-    assert _seeded_pass_refines(monkeypatch, token, m, reduced) == (status, refines)
+    # oriented filter reaches the solver.
+    monkeypatch.setattr(OrbitFilter, "keeps", lambda self, conn: True)
+    assert _seeded_pass_refines(monkeypatch, token, m) == (status, refines)
 
 
-@pytest.mark.parametrize("token,m,reduced,status,refines", [
-    ("cyclic:2", 2, True, "ExhaustedNone", 0),
-    ("quaternion8", 2, True, "ExhaustedNone", 26),
-    ("dihedral:8", 2, True, "FoundWitness", 10),
-    ("smallgroup:32:2", 2, True, "FoundWitness", 6),
-    ("quaternion8", 2, False, "ExhaustedNone", 26),
-    ("klein4", 3, False, "FoundWitness", 17),
+@pytest.mark.parametrize("token,m,status,refines", [
+    ("cyclic:2", 2, "ExhaustedNone", 0),
+    ("quaternion8", 2, "ExhaustedNone", 26),
+    ("dihedral:8", 2, "FoundWitness", 10),
+    ("smallgroup:32:2", 2, "FoundWitness", 6),
+    ("klein4", 3, "FoundWitness", 17),
 ])
-def test_seeded_pass_work_pinned_orbit_minimal(monkeypatch, token, m, reduced, status,
-                                               refines):
+def test_seeded_pass_work_pinned_orbit_minimal(monkeypatch, token, m, status, refines):
     # only the orbit-minimal candidates reach the solver
-    assert _seeded_pass_refines(monkeypatch, token, m, reduced) == (status, refines)
+    assert _seeded_pass_refines(monkeypatch, token, m) == (status, refines)
 
 
 def test_one_build_per_candidate(monkeypatch):
