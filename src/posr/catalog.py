@@ -15,7 +15,8 @@ from importlib import resources
 
 from .autgroup import automorphism_group, is_semiregular_rep
 from .cayley import ConnectionSets, Digraph, build_cayley, validate_sets
-from .errors import BudgetExceeded, InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed
+from .errors import (BudgetExceeded, InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed,
+                     UnknownGenerator)
 from .groups import GroupSpec, GroupTable, group_from_token, in_phi, named_group
 from .search import exists_antisymmetric_kregular, exists_mposr
 
@@ -110,8 +111,7 @@ def two_gen_2posr_candidates(g: GroupTable) -> list[ConnectionSets]:
         conn = _word_sets(g, cells)
         if conn is None or conn.sets in seen:
             return
-        report = validate_sets(g, conn, 3)
-        if report.oriented and report.partite and report.regular:
+        if validate_sets(g, conn, 3).ok_for("POSR"):
             seen.add(conn.sets)
             out.append(conn)
 
@@ -120,9 +120,9 @@ def two_gen_2posr_candidates(g: GroupTable) -> list[ConnectionSets]:
     for a, b in (("x", "y"), ("y", "x")):
         try:
             oa = g.element_order(g.generator(a))
-        except Exception:
+            ob = g.element_order(g.generator(b))
+        except UnknownGenerator:
             continue
-        ob = g.element_order(g.generator(b))
         if oa == 4 and ob >= 3:
             push({(0, 1): ["1", a, b], (1, 0): [a, f"{a}^2", b]})
         if oa == 4 and ob == 2:

@@ -137,24 +137,6 @@ class Digraph:
     def in_degrees(self) -> list[int]:
         return [len(a) for a in self.in_adj]
 
-    def is_weakly_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in self.out_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-            for v in self.in_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
@@ -180,7 +162,6 @@ class ValidationReport:
     oriented: bool
     partite: bool
     regular: bool
-    connected: bool
 
     def ok_for(self, kind: str) -> bool:
         """POSR needs oriented+partite+regular; PDR drops oriented."""
@@ -206,24 +187,17 @@ def build_cayley(g: GroupTable, conn: ConnectionSets) -> PartitionedDigraph:
     return PartitionedDigraph(Digraph(conn.m * n, arcs), n, conn.m)
 
 
-def set_conditions(g: GroupTable, conn: ConnectionSets,
-                   valency: int) -> tuple[bool, bool, bool]:
-    """(oriented, partite, regular), read off the connection sets alone."""
+def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> ValidationReport:
+    """The oriented / partite / regularity conditions, read off the
+    connection sets alone."""
     conn.check_indices(g)
     m = conn.m
-    oriented = sets_oriented(g, conn)
     partite = all(not conn.cell(i, i) for i in range(m))
     sizes = conn.size_matrix()
     regular = all(sum(row) == valency for row in sizes) and all(
         sum(sizes[i][j] for i in range(m)) == valency for j in range(m)
     )
-    return oriented, partite, regular
-
-
-def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> ValidationReport:
-    """Check the oriented / partite / regularity / connectivity conditions."""
-    connected = build_cayley(g, conn).digraph.is_weakly_connected()
-    return ValidationReport(*set_conditions(g, conn, valency), connected)
+    return ValidationReport(sets_oriented(g, conn), partite, regular)
 
 
 def sets_oriented(g: GroupTable, conn: ConnectionSets) -> bool:

@@ -256,8 +256,6 @@ class GroupSpec:
 
     kind: str
     n: int = 0
-    perms: tuple = ()
-    labels: tuple = ()
 
     def token(self) -> str:
         if self.kind == "cyclic":
@@ -409,8 +407,6 @@ def named_group(spec: GroupSpec) -> GroupTable:
         return group_from_permutations(
             [_SG32_2_X, _SG32_2_Y], ["x", "y"], name="smallgroup:32:2"
         )
-    if spec.kind == "from_permutations":
-        return group_from_permutations(list(spec.perms), list(spec.labels) or None)
     raise InvalidParameter(f"unknown group kind {spec.kind!r}")
 
 

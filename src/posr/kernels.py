@@ -1,7 +1,13 @@
-"""Hot numeric kernels, all interpreted: equitable refinement (numpy) and
-the loop kernels over int64 bitmasks, the rigidity test and the regular
-digraph search.
+"""The hot kernels, all interpreted.
+
+``refine_partition`` is the equitable refinement of the automorphism
+solver, vectorised with numpy.  ``has_nontrivial_automorphism`` and
+``regular_digraph_search`` decide the rigid k-regular digraph claims: plain
+recursive Python over int bitmasks, one per vertex's out-set.
 """
+
+import math
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -57,227 +63,106 @@ def refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
 
 
 def has_nontrivial_automorphism(n, out_mask):
-    """True (1) iff a digraph on n <= 63 vertices, given as out-neighbor
-    bitmasks, has an automorphism other than the identity.
+    """True iff a loop-free digraph on n <= 63 vertices, given as int64
+    out-neighbor bitmasks, has an automorphism other than the identity.
 
-    Vertex-by-vertex image assignment with full consistency checks against
-    all previously assigned vertices.
+    Images are assigned to vertices 0, 1, ... in turn, each checked against
+    the arcs to and from every vertex assigned before it.
     """
-    img = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=np.int64)
-    v = 0
-    img[0] = -1
-    while v >= 0:
-        w = img[v] + 1
-        if img[v] >= 0:
-            used[img[v]] = 0
-        advanced = False
-        while w < n:
-            if used[w] == 0:
-                ok = True
-                for u in range(v):
-                    iu = img[u]
-                    if ((out_mask[v] >> u) & 1) != ((out_mask[w] >> iu) & 1):
-                        ok = False
-                        break
-                    if ((out_mask[u] >> v) & 1) != ((out_mask[iu] >> w) & 1):
-                        ok = False
-                        break
-                if ok:
-                    img[v] = w
-                    used[w] = 1
-                    advanced = True
-                    break
-            w += 1
-        if not advanced:
-            img[v] = -1
-            v -= 1
-            continue
-        if v == n - 1:
-            identity = True
-            for u in range(n):
-                if img[u] != u:
-                    identity = False
-                    break
-            if not identity:
-                return 1
-            # keep searching siblings of the identity leaf
-            continue
-        v += 1
-        img[v] = -1
-    return 0
+    masks = [int(x) for x in out_mask]
+    img = []
+
+    def extend(v, used):
+        if v == n:
+            return img != list(range(n))
+        for w in range(n):
+            if not used >> w & 1 and all(
+                    masks[v] >> u & 1 == masks[w] >> iu & 1
+                    and masks[u] >> v & 1 == masks[iu] >> w & 1
+                    for u, iu in enumerate(img)):
+                img.append(w)
+                if extend(v + 1, used | 1 << w):
+                    return True
+                img.pop()
+        return False
+
+    return extend(0, 0)
 
 
 def count_combinations(n, k):
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= n - i
-        den *= i + 1
-    return num // den
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget):
     """Search k-regular digraphs on m vertices (loop-free; digon-free when
     oriented) for one with trivial automorphism group.
 
-    Vertex 0's out-set is fixed to {1..k} (sound up to isomorphism).  The
-    remaining vertices are assigned lexicographically; ``chunk_lo..chunk_hi``
-    restricts the index of vertex 1's out-set combination, which gives a
-    deterministic, resumable split of the tree.
+    Vertex 0's out-set is fixed to {1..k} (sound up to isomorphism).  Each
+    later vertex takes its out-set from the k-combinations of its allowed
+    targets in lexicographic order; ``chunk_lo..chunk_hi`` restricts the
+    rank of vertex 1's combination, which gives a deterministic, resumable
+    split of the tree.  A node is counted when a vertex's level is entered
+    and again after each of its valid choices returns; the search aborts
+    once the count exceeds ``node_budget``.
 
     Returns (status, examined, witness_masks):
       status 1 = witness found, 0 = range exhausted, -1 = budget exceeded.
     """
-    out_mask = np.zeros(m, dtype=np.int64)
     witness = np.zeros(m, dtype=np.int64)
-    examined = np.int64(0)
-    nodes = np.int64(0)
     if m - 1 < k:
-        return 0, examined, witness
-    for t in range(1, k + 1):
-        out_mask[0] |= np.int64(1) << t
-    indeg = np.zeros(m, dtype=np.int64)
-    for t in range(1, k + 1):
-        indeg[t] = 1
-
-    # per-level combination state: chosen targets as sorted candidate indices
-    cand = np.zeros((m, m), dtype=np.int64)   # candidate targets per level
-    ncand = np.zeros(m, dtype=np.int64)
-    choice = np.zeros((m, k), dtype=np.int64)  # indices into cand row
-    started = np.zeros(m, dtype=np.int64)
-
-    def build_candidates(v):
-        cnt = 0
-        for w in range(m):
-            if w == v:
-                continue
-            if oriented == 1 and ((out_mask[w] >> v) & 1) == 1:
-                continue
-            cand[v, cnt] = w
-            cnt += 1
-        ncand[v] = cnt
-        return cnt
-
-    def apply_choice(v, sign):
-        for i in range(k):
-            w = cand[v, choice[v, i]]
-            if sign == 1:
-                out_mask[v] |= np.int64(1) << w
-                indeg[w] += 1
-            else:
-                out_mask[v] &= ~(np.int64(1) << w)
-                indeg[w] -= 1
-
-    def choice_valid(v):
-        # in-degree cap
-        for i in range(k):
-            w = cand[v, choice[v, i]]
-            if indeg[w] >= k:
-                return False
-        return True
+        return 0, 0, witness
+    out_mask = [0] * m
+    out_mask[0] = ((1 << k) - 1) << 1
+    indeg = [0] + [1] * k + [0] * (m - 1 - k)
+    examined = nodes = 0
 
     def feasible(v):
-        # every vertex must still be able to reach in-degree k
+        # every vertex must still be able to reach in-degree k from v+1..m-1
+        later = (1 << m) - (2 << v)
         for w in range(m):
             need = k - indeg[w]
-            if need <= 0:
-                continue
-            avail = 0
-            for u in range(v + 1, m):
-                if u == w:
-                    continue
-                if oriented == 1 and ((out_mask[w] >> u) & 1) == 1:
-                    continue
-                avail += 1
-            if avail < need:
-                return False
+            if need > 0:
+                avail = later & ~(1 << w)
+                if oriented:
+                    avail &= ~out_mask[w]
+                if avail.bit_count() < need:
+                    return False
         return True
 
-    def first_choice(v):
-        for i in range(k):
-            choice[v, i] = i
-        return ncand[v] >= k
-
-    def next_choice(v):
-        # next k-combination of ncand[v] items in lexicographic order
-        i = k - 1
-        while i >= 0:
-            if choice[v, i] < ncand[v] - (k - i):
-                choice[v, i] += 1
-                for j in range(i + 1, k):
-                    choice[v, j] = choice[v, j - 1] + 1
-                return True
-            i -= 1
-        return False
-
-    v = 1
-    while v >= 1:
+    def level(v):
+        nonlocal examined, nodes
         nodes += 1
         if nodes > node_budget:
-            return -1, examined, witness
-        if started[v] == 0:
-            build_candidates(v)
-            started[v] = 1
-            if not first_choice(v):
-                started[v] = 0
-                v -= 1
-                if v >= 1:
-                    apply_choice(v, -1)
+            return -1
+        targets = [w for w in range(m) if w != v and not (oriented and out_mask[w] >> v & 1)]
+        combos = combinations(targets, k)
+        if v == 1:
+            combos = islice(combos, chunk_lo, chunk_hi)
+        for combo in combos:
+            if any(indeg[w] >= k for w in combo):
                 continue
-            has = True
-        else:
-            has = next_choice(v)
-        moved = False
-        while has:
-            if v == 1:
-                combo_index = _combination_rank(choice[v], ncand[v], k)
-                if combo_index >= chunk_hi:
-                    has = False
-                    break
-                if combo_index < chunk_lo:
-                    has = next_choice(v)
-                    continue
-            if choice_valid(v):
-                apply_choice(v, 1)
-                if feasible(v):
-                    moved = True
-                    break
-                apply_choice(v, -1)
-            has = next_choice(v)
-        if not moved:
-            started[v] = 0
-            v -= 1
-            if v >= 1:
-                apply_choice(v, -1)
-            continue
-        if v == m - 1:
-            complete = True
-            for w in range(m):
-                if indeg[w] != k:
-                    complete = False
-                    break
-            if complete:
-                examined += 1
-                if has_nontrivial_automorphism(m, out_mask) == 0:
-                    for w in range(m):
-                        witness[w] = out_mask[w]
-                    return 1, examined, witness
-            apply_choice(v, -1)
-            continue
-        v += 1
-    return 0, examined, witness
+            for w in combo:
+                indeg[w] += 1
+            out_mask[v] = sum(1 << w for w in combo)
+            if feasible(v):
+                # feasible at the last vertex means every in-degree is k
+                if v < m - 1:
+                    status = level(v + 1)
+                    if status:
+                        return status
+                else:
+                    examined += 1
+                    if not has_nontrivial_automorphism(m, out_mask):
+                        return 1
+                nodes += 1
+                if nodes > node_budget:
+                    return -1
+            out_mask[v] = 0
+            for w in combo:
+                indeg[w] -= 1
+        return 0
 
-
-def _combination_rank(choice_row, n, k):
-    # rank of a k-combination (by candidate positions) in lex order
-    rank = 0
-    prev = -1
-    for i in range(k):
-        c = choice_row[i]
-        for t in range(prev + 1, c):
-            rank += count_combinations(n - t - 1, k - i - 1)
-        prev = c
-    return rank
+    status = level(1)
+    if status == 1:
+        witness[:] = out_mask
+    return status, examined, witness

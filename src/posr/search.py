@@ -61,7 +61,6 @@ from .cayley import (
     ConnectionSets,
     Digraph,
     build_cayley,
-    set_conditions,
     validate_sets,
 )
 from .errors import InvalidParameter, TooLarge, WitnessRejected
@@ -181,11 +180,13 @@ def enumerate_connection_sets(
     # pruning
     masks: dict[int, list[int]] = {}
     inv_masks: dict[int, list[int]] = {}
+    bits = [1 << e for e in range(n)]
+    inv_bits = [1 << int(g.inv[e]) for e in range(n)]
     for k in range(min(valency, n) + 1):
         subsets[k] = list(combinations(range(n), k))
         if require_oriented:
-            masks[k] = [sum(1 << e for e in s) for s in subsets[k]]
-            inv_masks[k] = [sum(1 << int(g.inv[e]) for e in s) for s in subsets[k]]
+            masks[k] = list(map(sum, combinations(bits, k)))
+            inv_masks[k] = list(map(sum, combinations(inv_bits, k)))
     cells = m * m
 
     def walk(sizes: tuple, weight: list[int], offset: int):
@@ -279,8 +280,7 @@ def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
                       node_budget: int, naive: bool) -> bool:
     """Full check of one candidate (the oriented pre-filter is the caller's):
     the set conditions, then one build and one solver pass."""
-    oriented, partite, regular = set_conditions(g, conn, sum(conn.size_matrix()[0]))
-    if not (partite and regular) or kind == "POSR" and not oriented:
+    if not validate_sets(g, conn, sum(conn.size_matrix()[0])).ok_for(kind):
         return False
     pd = build_cayley(g, conn)
     if naive:

@@ -78,6 +78,12 @@ def test_two_gen_candidates_none_for_klein4():
         two_gen_2posr_candidates(group_from_token("klein4"))
 
 
+def test_two_gen_candidates_none_for_one_generator():
+    # cyclic:7 has no generator y: that is no candidate, not an error
+    with pytest.raises(NoCandidate):
+        two_gen_2posr_candidates(group_from_token("cyclic:7"))
+
+
 def test_chain_construction_preconditions():
     with pytest.raises(PreconditionFailed):
         two_gen_mposr_sets(group_from_token("klein4"), 3)

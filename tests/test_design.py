@@ -1,4 +1,5 @@
-"""Design rules checked on the source: no exported function without a caller.
+"""Design rules checked on the source: no exported function without a
+caller, and no check that leans on ``assert`` or a catch-all ``except``.
 
 Every public module-level function or class in ``src/posr``, and every
 public method of such a class, must be referenced somewhere in ``src/posr``
@@ -67,3 +68,18 @@ def test_every_public_definition_has_a_caller():
     assert not extra, f"public names with no caller in src/posr: {extra}"
     # an allowlist entry that gained a caller or lost its definition is stale
     assert sorted(ALLOWED) == [d for d in uncalled if d in ALLOWED]
+
+
+def test_no_assert_or_catch_all_except():
+    # checks raise a PosrError, which ``python -O`` cannot strip; handlers
+    # name the errors they expect, so a bug elsewhere still surfaces
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.ExceptHandler) and (
+                    node.type is None
+                    or isinstance(node.type, ast.Name) and node.type.id == "Exception"):
+                found.append(f"{path.name}:{node.lineno}: catch-all except")
+    assert not found, found

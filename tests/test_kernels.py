@@ -1,11 +1,13 @@
-"""Kernels: the numpy refinement must match its reference loop, and the
-rigidity test must agree with the brute-force automorphism oracle."""
+"""Kernels: the numpy refinement must match its reference loop, the
+rigidity test must agree with the brute-force automorphism oracle, and the
+regular-digraph search keeps its pinned node counts and witnesses."""
 
 from __future__ import annotations
 
 import random
 
 import numpy as np
+import pytest
 
 from posr import kernels
 from posr.autgroup import Coloring
@@ -163,3 +165,24 @@ def test_chunked_search_covers_everything():
     )
     assert full[0] == 0
     assert parts == int(full[1])
+
+
+@pytest.mark.parametrize("m, k, oriented, budget, aborted, status, examined, witness", [
+    (5, 2, 1, 27, 4, 0, 4, None),
+    (6, 3, 0, 33, 8, 1, 9, [14, 13, 49, 52, 35, 26]),
+    (7, 3, 1, 981, 132, 0, 132, None),
+    (8, 3, 1, 59, 2, 1, 3, [14, 28, 56, 208, 224, 67, 131, 37]),
+    (7, 3, 0, 34, 6, 1, 7, [14, 13, 19, 97, 98, 84, 56]),
+])
+def test_regular_search_pinned(m, k, oriented, budget, aborted, status, examined, witness):
+    # ``budget`` is the smallest node budget that does not abort: one less
+    # aborts with the examined count so far, and neither run's node count or
+    # witness may move
+    total = kernels.count_combinations(m - 1, k)
+    got = kernels.regular_digraph_search(m, k, oriented, 0, total, budget - 1)
+    assert (got[0], got[1]) == (-1, aborted)
+    assert got[2].dtype == np.int64 and not got[2].any()
+    got = kernels.regular_digraph_search(m, k, oriented, 0, total, budget)
+    assert (got[0], got[1]) == (status, examined)
+    assert got[2].dtype == np.int64
+    assert got[2].tolist() == (witness or [0] * m)
