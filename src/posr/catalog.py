@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .autgroup import automorphism_group, is_semiregular_rep
-from .cayley import ConnectionSets, Digraph, build_cayley, validate_sets
+from .cayley import ConnectionSets, Digraph, validate_sets
 from .errors import (BudgetExceeded, InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed,
                      UnknownGenerator)
 from .groups import GroupSpec, GroupTable, group_from_token, in_phi, named_group
-from .search import exists_antisymmetric_kregular, exists_mposr
+from .search import exists_antisymmetric_kregular, exists_mposr, verify_witness
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +213,6 @@ def pdr_candidates(g: GroupTable, m: int) -> list[ConnectionSets]:
 # fixed digraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedDigraph:
-    name: str
-    digraph: Digraph
-    comment: str = ""
-
-
 _FIXED = {
     # 9-vertex oriented 3-regular digraph with trivial automorphism group
     "fig1_9": {
@@ -247,19 +239,11 @@ _FIXED = {
 }
 
 
-def fixed_digraphs() -> list[NamedDigraph]:
-    out = []
-    for name, adj in _FIXED.items():
-        arcs = [(u, v) for u, targets in adj.items() for v in targets]
-        out.append(NamedDigraph(name, Digraph(len(adj), arcs)))
-    return out
-
-
 def fixed_digraph(name: str) -> Digraph:
-    for nd in fixed_digraphs():
-        if nd.name == name:
-            return nd.digraph
-    raise InvalidParameter(f"unknown fixed digraph {name!r}")
+    adj = _FIXED.get(name)
+    if adj is None:
+        raise InvalidParameter(f"unknown fixed digraph {name!r}")
+    return Digraph(len(adj), [(u, v) for u, targets in adj.items() for v in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +426,20 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
         return ClaimResult(claim.name, status, time.monotonic() - t0, detail, evidence,
                            out_of_budget)
 
-    if claim.expected == "rigid_digraph":
-        d = fixed_digraph(claim.digraph)
-        k = claim.options.get("valency", 3)
-        report_bits = []
-        ok = d.out_degrees() == [k] * d.n and d.in_degrees() == [k] * d.n
-        if not ok:
-            report_bits.append("not regular")
-        if claim.options.get("oriented"):
-            digons = [(u, v) for u, v in d.arcs() if u < v and d.has_arc(v, u)]
-            if d.has_loops or digons:
-                ok = False
-                report_bits.append(f"digons {digons}")
-        order = automorphism_group(d, node_budget=budget.node_budget).order
-        if order != 1:
-            ok = False
-            report_bits.append(f"aut order {order}")
-        return done("Pass" if ok else "Fail", "; ".join(report_bits) or f"aut order 1, {k}-regular")
-
-    g = group_from_token(claim.group)
-    if claim.expected == "exists_with_witness":
-        conn = ConnectionSets.from_json(claim.sets, g)
-        report = validate_sets(g, conn, sum(conn.size_matrix()[0]))
-        if not report.ok_for(claim.kind):
+    if claim.expected in ("exists_with_witness", "rigid_digraph"):
+        if claim.expected == "rigid_digraph":
+            # a digraph on m vertices is a Cayley digraph of the trivial group
+            # with m parts; it is rigid iff that is a representation
+            g = group_from_token("cyclic:1")
+            conn = ConnectionSets.from_digraph(fixed_digraph(claim.digraph))
+            kind = "POSR" if claim.options.get("oriented") else "PDR"
+        else:
+            g = group_from_token(claim.group)
+            conn = ConnectionSets.from_json(claim.sets, g)
+            kind = claim.kind
+        res = verify_witness(g, conn, kind, claim.options.get("valency", 3), budget.node_budget)
+        if res is None:
             return done("Fail", "witness sets fail validation")
-        res = is_semiregular_rep(build_cayley(g, conn), g, node_budget=budget.node_budget)
         if not res.is_representation:
             return done("Fail", f"aut order {res.aut_order}, expected {g.order}",
                         {"extra_automorphism":
@@ -474,11 +447,12 @@ def _check_claim(claim: Claim, budget: SuiteBudget, t0: float) -> ClaimResult:
                          else res.witness_extra_automorphism.tolist()})
         return done("Pass", f"aut order {res.aut_order}")
 
+    g = group_from_token(claim.group)
     if claim.expected == "not_exists":
         if g.order == 1:
             outcome = exists_antisymmetric_kregular(
-                claim.m, claim.options.get("valency", 3),
-                oriented=claim.kind == "POSR", node_budget=budget.node_budget,
+                claim.m, claim.options.get("valency", 3), oriented=claim.kind == "POSR",
+                node_budget=budget.node_budget, time_budget=budget.time_budget_per_claim,
             )
         else:
             outcome = exists_mposr(

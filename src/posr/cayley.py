@@ -49,6 +49,16 @@ class ConnectionSets:
             sets[i][j] = [g.evaluate_word(w) for w in words]
         return ConnectionSets.from_lists(m, sets)
 
+    @staticmethod
+    def from_digraph(d: Digraph) -> "ConnectionSets":
+        """The digraph as a Cayley digraph of the trivial group with d.n
+        parts: T_uv = {e} for each arc u -> v.  A loop is then a nonempty
+        diagonal cell and a digon a cell that meets its reverse's inverse."""
+        sets = [[()] * d.n for _ in range(d.n)]
+        for u, v in d.arcs():
+            sets[u][v] = (0,)
+        return ConnectionSets(d.n, tuple(map(tuple, sets)))
+
     def cell(self, i: int, j: int) -> tuple:
         return self.sets[i][j]
 
@@ -81,71 +91,35 @@ class ConnectionSets:
 
 
 class Digraph:
-    """Immutable digraph with mirrored out- and in-adjacency."""
+    """Immutable digraph held as CSR arrays: each vertex's out-neighbours,
+    then each vertex's in-neighbours, sorted, with their offsets.  Repeated
+    arcs count once."""
 
-    __slots__ = ("n", "out_adj", "in_adj", "n_arcs", "has_loops",
-                 "_out_flat", "_out_off", "_in_flat", "_in_off")
+    __slots__ = ("n", "_csr")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        arcs = sorted(set((int(u), int(v)) for u, v in arcs))
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        in_lists: list[list[int]] = [[] for _ in range(n)]
-        loops = False
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IndexOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-            out_lists[u].append(v)
-            in_lists[v].append(u)
-            loops |= u == v
+    def __init__(self, n: int, arcs: Sequence[tuple[int, int]] | np.ndarray):
+        arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+        outside = (arcs < 0) | (arcs >= n)
+        if outside.any():
+            u, v = arcs[outside.any(axis=1)][0].tolist()
+            raise IndexOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
+        src, dst = np.divmod(np.unique(arcs[:, 0] * n + arcs[:, 1]), n)
+        by_dst = np.lexsort((src, dst))
+        out_off = np.zeros(n + 1, dtype=np.int64)
+        in_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=out_off[1:])
+        np.cumsum(np.bincount(dst, minlength=n), out=in_off[1:])
         self.n = n
-        self.out_adj = [np.array(a, dtype=np.int32) for a in out_lists]
-        self.in_adj = [np.array(sorted(a), dtype=np.int32) for a in in_lists]
-        self.n_arcs = len(arcs)
-        self.has_loops = loops
-        self._out_flat = None
-        self._out_off = None
-        self._in_flat = None
-        self._in_off = None
+        self._csr = (dst, out_off, src[by_dst], in_off)
 
-    # CSR views used by the refinement kernels
     def csr(self):
-        if self._out_flat is None:
-            self._out_off = np.zeros(self.n + 1, dtype=np.int64)
-            self._in_off = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in self.out_adj], out=self._out_off[1:])
-            np.cumsum([len(a) for a in self.in_adj], out=self._in_off[1:])
-            self._out_flat = (
-                np.concatenate(self.out_adj).astype(np.int64)
-                if self.n_arcs else np.zeros(0, dtype=np.int64)
-            )
-            self._in_flat = (
-                np.concatenate(self.in_adj).astype(np.int64)
-                if self.n_arcs else np.zeros(0, dtype=np.int64)
-            )
-        return self._out_flat, self._out_off, self._in_flat, self._in_off
+        """(out_flat, out_off, in_flat, in_off), int64."""
+        return self._csr
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, int(v)) for u in range(self.n) for v in self.out_adj[u]]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        idx = np.searchsorted(self.out_adj[u], v)
-        return idx < len(self.out_adj[u]) and self.out_adj[u][idx] == v
-
-    def out_degrees(self) -> list[int]:
-        return [len(a) for a in self.out_adj]
-
-    def in_degrees(self) -> list[int]:
-        return [len(a) for a in self.in_adj]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and all(np.array_equal(a, b) for a, b in zip(self.out_adj, other.out_adj))
-        )
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={self.n_arcs})"
+        out_flat, out_off, _, _ = self._csr
+        src = np.repeat(np.arange(self.n), np.diff(out_off))
+        return list(zip(src.tolist(), out_flat.tolist()))
 
 
 @dataclass
@@ -176,15 +150,12 @@ def build_cayley(g: GroupTable, conn: ConnectionSets) -> PartitionedDigraph:
     """Arcs vertex(i, h) -> vertex(j, t*h) for every t in T[i][j], h in G."""
     conn.check_indices(g)
     n = g.order
-    arcs = []
-    for i in range(conn.m):
-        for j in range(conn.m):
-            for t in conn.cell(i, j):
-                row = g.mult[t]  # t*h for all h
-                base_i, base_j = i * n, j * n
-                for h in range(n):
-                    arcs.append((base_i + h, base_j + int(row[h])))
-    return PartitionedDigraph(Digraph(conn.m * n, arcs), n, conn.m)
+    i, j, t = np.array([(i, j, t) for i, row in enumerate(conn.sets)
+                        for j, cell in enumerate(row) for t in cell],
+                       dtype=np.int64).reshape(-1, 3).T
+    src = i[:, None] * n + np.arange(n)
+    dst = j[:, None] * n + g.mult[t]  # row t of mult is t*h for all h
+    return PartitionedDigraph(Digraph(conn.m * n, np.stack((src, dst), axis=-1)), n, conn.m)
 
 
 def validate_sets(g: GroupTable, conn: ConnectionSets, valency: int) -> ValidationReport:

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --antisym: forbid digons")
     p.add_argument("--naive", action="store_true",
                    help="disable the quick-reject pipeline (oracle mode)")
-    p.add_argument("--cursor-start", type=int, default=0)
+    p.add_argument("--cursor-start", type=int, default=None)
     p.add_argument("--cursor-stop", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--progress-every", type=int, default=None)
@@ -89,16 +89,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # flags of the one search that the other does not read
     if args.antisym:
-        outcome = exists_antisymmetric_kregular(args.m, args.valency, args.oriented)
+        ignored = {"--group": args.group, "--naive": args.naive,
+                   "--cursor-start": args.cursor_start, "--cursor-stop": args.cursor_stop,
+                   "--progress-every": args.progress_every}
+    else:
+        ignored = {"--oriented": args.oriented}
+    given = [flag for flag, value in ignored.items() if value is not None and value is not False]
+    if given:
+        mode = "with" if args.antisym else "without"
+        print(f"error: {', '.join(given)} not allowed {mode} --antisym", file=sys.stderr)
+        return 2
+    if args.antisym:
+        outcome = exists_antisymmetric_kregular(args.m, args.valency, args.oriented,
+                                                time_budget=args.time_budget)
     else:
         if not args.group:
             print("error: --group is required without --antisym", file=sys.stderr)
             return 2
         outcome = exists_mposr(
             group_from_token(args.group), args.m, args.valency, args.kind.upper(),
-            naive=args.naive, cursor_start=args.cursor_start, cursor_stop=args.cursor_stop,
-            time_budget=args.time_budget,
+            naive=args.naive, cursor_start=args.cursor_start or 0,
+            cursor_stop=args.cursor_stop, time_budget=args.time_budget,
             progress_every=args.progress_every,
             progress_cb=lambda p: print(_dump(p).replace("\n", " "), file=sys.stderr),
         )

@@ -7,6 +7,7 @@ recursive Python over int bitmasks, one per vertex's out-set.
 """
 
 import math
+import time
 from itertools import combinations, islice
 
 import numpy as np
@@ -93,7 +94,7 @@ def count_combinations(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget):
+def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget, deadline=None):
     """Search k-regular digraphs on m vertices (loop-free; digon-free when
     oriented) for one with trivial automorphism group.
 
@@ -103,7 +104,8 @@ def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget):
     rank of vertex 1's combination, which gives a deterministic, resumable
     split of the tree.  A node is counted when a vertex's level is entered
     and again after each of its valid choices returns; the search aborts
-    once the count exceeds ``node_budget``.
+    once the count exceeds ``node_budget`` or, at a counted node, once
+    ``time.monotonic()`` passes ``deadline``.
 
     Returns (status, examined, witness_masks):
       status 1 = witness found, 0 = range exhausted, -1 = budget exceeded.
@@ -129,10 +131,14 @@ def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget):
                     return False
         return True
 
-    def level(v):
-        nonlocal examined, nodes
+    def spent():
+        nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        return nodes > node_budget or deadline is not None and time.monotonic() > deadline
+
+    def level(v):
+        nonlocal examined
+        if spent():
             return -1
         targets = [w for w in range(m) if w != v and not (oriented and out_mask[w] >> v & 1)]
         combos = combinations(targets, k)
@@ -154,8 +160,7 @@ def regular_digraph_search(m, k, oriented, chunk_lo, chunk_hi, node_budget):
                     examined += 1
                     if not has_nontrivial_automorphism(m, out_mask):
                         return 1
-                nodes += 1
-                if nodes > node_budget:
+                if spent():
                     return -1
             out_mask[v] = 0
             for w in combo:

@@ -37,10 +37,12 @@ that starts later says only that none of its orbit-minimal candidates is a
 representation.  ``naive`` mode skips nothing.
 
 Each remaining candidate is decided with one Cayley build and one seeded
-search pass (``autgroup.aut_is_translations``); ``naive`` mode computes the
-full automorphism group instead (``autgroup.is_semiregular_rep``).  A
-witness is re-checked by ``verify_witness``, which validates it again and
-decides it with ``is_semiregular_rep`` from scratch, before it is returned.
+search pass (``autgroup.aut_is_translations``); ``naive`` mode decides it
+with ``verify_witness`` instead.  ``verify_witness`` is the one check of
+every witness in the package: it validates the sets and computes the full
+automorphism group from scratch.  A search witness passes it before it is
+returned, and so does a rigid digraph from the kernel, as connection sets
+of the trivial group (``ConnectionSets.from_digraph``).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels
-from .autgroup import aut_is_translations, automorphism_group, is_semiregular_rep
+from .autgroup import RepVerdict, aut_is_translations, is_semiregular_rep
 from .cayley import (
     ConnectionSets,
     Digraph,
@@ -64,7 +66,7 @@ from .cayley import (
     validate_sets,
 )
 from .errors import InvalidParameter, TooLarge, WitnessRejected
-from .groups import GroupTable, group_automorphisms
+from .groups import GroupTable, group_automorphisms, group_from_token
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -276,16 +278,15 @@ def count_connection_sets(g: GroupTable, m: int, valency: int) -> int:
     return count(0, (valency,) * m)
 
 
-def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str,
+def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str, valency: int,
                       node_budget: int, naive: bool) -> bool:
-    """Full check of one candidate (the oriented pre-filter is the caller's):
-    the set conditions, then one build and one solver pass."""
-    if not validate_sets(g, conn, sum(conn.size_matrix()[0])).ok_for(kind):
-        return False
-    pd = build_cayley(g, conn)
+    """One build and one solver pass.  An enumerated candidate is partite and
+    regular by construction, and oriented when the search prunes (POSR, not
+    ``naive``); ``naive`` mode decides every candidate with the full check."""
     if naive:
-        return is_semiregular_rep(pd, g, node_budget).is_representation
-    return aut_is_translations(pd, node_budget=node_budget)
+        verdict = verify_witness(g, conn, kind, valency, node_budget)
+        return verdict is not None and verdict.is_representation
+    return aut_is_translations(build_cayley(g, conn), node_budget=node_budget)
 
 
 class OrbitFilter:
@@ -423,28 +424,25 @@ def exists_mposr(
             return SearchOutcome("Aborted", None, examined, time.monotonic() - t0,
                                  resume_cursor=start + examined)
         advance(rank - start + 1)
-        # enumerated candidates are partite and regular by construction
         if minimal is not None and not minimal.keeps(conn):
             continue
-        if _candidate_is_rep(g, conn, kind, node_budget, naive):
-            if not verify_witness(g, conn, kind, node_budget=node_budget):
+        if _candidate_is_rep(g, conn, kind, valency, node_budget, naive):
+            verdict = verify_witness(g, conn, kind, valency, node_budget)
+            if verdict is None or not verdict.is_representation:
                 raise WitnessRejected(f"witness {conn.sets} fails the independent re-check")
             return SearchOutcome("FoundWitness", conn, examined, time.monotonic() - t0)
     advance(stop - start)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)
 
 
-def verify_witness(g: GroupTable, conn: ConnectionSets, kind: str,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Independent from-scratch re-check of a FoundWitness: the set
-    conditions, then the full automorphism group of the built digraph."""
-    return (validate_sets(g, conn, sum(conn.size_matrix()[0])).ok_for(kind)
-            and is_semiregular_rep(build_cayley(g, conn), g, node_budget).is_representation)
-
-
-def _mask_digraph(m: int, masks) -> Digraph:
-    arcs = [(u, v) for u in range(m) for v in range(m) if (int(masks[u]) >> v) & 1]
-    return Digraph(m, arcs)
+def verify_witness(g: GroupTable, conn: ConnectionSets, kind: str, valency: int,
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> RepVerdict | None:
+    """The one from-scratch check of a witness: the set conditions, then the
+    full automorphism group of the built digraph.  None when the sets fail
+    the conditions of ``kind`` at this valency."""
+    if not validate_sets(g, conn, valency).ok_for(kind):
+        return None
+    return is_semiregular_rep(build_cayley(g, conn), g, node_budget)
 
 
 def exists_antisymmetric_kregular(
@@ -452,6 +450,7 @@ def exists_antisymmetric_kregular(
     k: int,
     oriented: bool,
     node_budget: int = 10_000_000_000,
+    time_budget: float | None = None,
 ) -> SearchOutcome:
     """Search all loop-free (digon-free when oriented) k-regular digraphs on
     m vertices for one with trivial automorphism group.
@@ -460,7 +459,10 @@ def exists_antisymmetric_kregular(
     by any bijection sending the out-neighbors of any fixed vertex to 1..k),
     so the kernel fixes vertex 0's out-set and walks the rest of the tree in
     one deterministic pass, ordered by the rank of vertex 1's out-set
-    combination.  ``node_budget`` counts the kernel's descents.
+    combination.  ``node_budget`` counts the kernel's descents, and both
+    budgets are checked at each of them.  A witness is a representation of
+    the trivial group with m parts (an m-POSR when oriented, else an m-PDR)
+    and is decided again by ``verify_witness`` before it is returned.
     """
     if m < 1 or k < 1:
         raise InvalidParameter("m and k must be >= 1")
@@ -471,19 +473,17 @@ def exists_antisymmetric_kregular(
     if m - 1 < k:
         return SearchOutcome("ExhaustedNone", None, 0, time.monotonic() - t0)
     total_chunks = kernels.count_combinations(m - 1, k)  # upper bound on ranks
-    flag = 1 if oriented else 0
-    status, count, masks = kernels.regular_digraph_search(m, k, flag, 0, total_chunks, node_budget)
+    deadline = None if time_budget is None else t0 + time_budget
+    status, count, masks = kernels.regular_digraph_search(
+        m, k, 1 if oriented else 0, 0, total_chunks, node_budget, deadline)
     examined = int(count)
     if status == -1:
         return SearchOutcome("Aborted", None, examined, time.monotonic() - t0)
     if status == 1:
-        d = _mask_digraph(m, masks)
-        # re-verify through the solver before trusting the kernel
-        if d.out_degrees() != [k] * m or d.in_degrees() != [k] * m:
-            raise WitnessRejected(f"kernel witness on {m} vertices is not {k}-regular")
-        if d.has_loops or oriented and any(d.has_arc(v, u) for u, v in d.arcs()):
-            raise WitnessRejected(f"kernel witness on {m} vertices has a loop or digon")
-        if automorphism_group(d).order != 1:
-            raise WitnessRejected(f"kernel witness on {m} vertices is not rigid")
+        d = Digraph(m, [(u, v) for u in range(m) for v in range(m) if int(masks[u]) >> v & 1])
+        verdict = verify_witness(group_from_token("cyclic:1"), ConnectionSets.from_digraph(d),
+                                 "POSR" if oriented else "PDR", k)
+        if verdict is None or not verdict.is_representation:
+            raise WitnessRejected(f"kernel witness {d.arcs()} fails the independent re-check")
         return SearchOutcome("FoundWitness", d, examined, time.monotonic() - t0)
     return SearchOutcome("ExhaustedNone", None, examined, time.monotonic() - t0)

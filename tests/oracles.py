@@ -22,6 +22,21 @@ def arc_set(d: Digraph) -> set[tuple[int, int]]:
     return set(d.arcs())
 
 
+def degrees(d: Digraph) -> tuple[list[int], list[int]]:
+    """Out- and in-degree of every vertex, counted arc by arc."""
+    out, inn = [0] * d.n, [0] * d.n
+    for u, v in d.arcs():
+        out[u] += 1
+        inn[v] += 1
+    return out, inn
+
+
+def digons(d: Digraph) -> list[tuple[int, int]]:
+    """The vertex pairs u < v joined by arcs both ways."""
+    arcs = arc_set(d)
+    return sorted((u, v) for u, v in arcs if u < v and (v, u) in arcs)
+
+
 def relabel(d: Digraph, perm: Sequence[int]) -> Digraph:
     """New digraph with vertex u renamed to perm[u]."""
     p = list(perm)
@@ -43,12 +58,18 @@ def brute_force_automorphisms(d: Digraph) -> list[np.ndarray]:
 
 def is_equitable(d: Digraph, coloring: Coloring) -> bool:
     """Direct check of the equitable predicate (test oracle)."""
-    k = coloring.num_colors
+    color = coloring.color.tolist()
+    # each vertex's out- and in-neighbour colors; sorted, they are its
+    # color counts as a multiset
+    out_colors: list[list[int]] = [[] for _ in range(d.n)]
+    in_colors: list[list[int]] = [[] for _ in range(d.n)]
+    for u, w in d.arcs():
+        out_colors[u].append(color[w])
+        in_colors[w].append(color[u])
     sig = {}
     for v in range(d.n):
-        out_counts = tuple(np.bincount(coloring.color[d.out_adj[v]], minlength=k))
-        in_counts = tuple(np.bincount(coloring.color[d.in_adj[v]], minlength=k))
-        c = int(coloring.color[v])
+        out_counts, in_counts = sorted(out_colors[v]), sorted(in_colors[v])
+        c = color[v]
         if c in sig and sig[c] != (out_counts, in_counts):
             return False
         sig[c] = (out_counts, in_counts)

@@ -24,7 +24,7 @@ import pytest
 from posr.autgroup import automorphism_group
 from posr.catalog import (
     cyclic_posr_sets,
-    fixed_digraphs,
+    fixed_digraph,
     pdr_candidates,
     two_gen_2posr_candidates,
     two_gen_mposr_sets,
@@ -41,7 +41,7 @@ from posr.cayley import (
 from posr.groups import group_from_token, parse_group_spec
 from posr.search import exists_antisymmetric_kregular, exists_mposr, verify_witness
 
-from oracles import brute_force_automorphisms
+from oracles import brute_force_automorphisms, degrees, digons
 
 extended = pytest.mark.skipif(
     os.environ.get("POSR_EXTENDED") != "1",
@@ -138,7 +138,8 @@ def test_c04_order32_exhausted():
 def test_c05_named_witnesses(token, order):
     t0 = time.monotonic()
     g = group_from_token(token)
-    conn = next((c for c in two_gen_2posr_candidates(g) if verify_witness(g, c, "POSR")), None)
+    conn = next((c for c in two_gen_2posr_candidates(g)
+                 if verify_witness(g, c, "POSR", 3).is_representation), None)
     assert conn is not None
     assert aut_order(g, conn) == order
     assert time.monotonic() - t0 < 5.0
@@ -160,12 +161,12 @@ def test_c06_chain_matrix():
 
 def test_c07_fixed_digraphs():
     t0 = time.monotonic()
-    for nd in fixed_digraphs():
-        d = nd.digraph
-        assert d.out_degrees() == [3] * d.n and d.in_degrees() == [3] * d.n
-        if nd.name.startswith("fig1_"):
-            assert not any(d.has_arc(v, u) for u, v in d.arcs())
-        assert automorphism_group(d).order == 1, nd.name
+    for name in ("fig1_9", "fig1_10", "gamma7", "gamma8"):
+        d = fixed_digraph(name)
+        assert degrees(d) == ([3] * d.n, [3] * d.n)
+        if name.startswith("fig1_"):
+            assert digons(d) == []
+        assert automorphism_group(d).order == 1, name
     assert time.monotonic() - t0 < 1.0
 
 
@@ -182,9 +183,9 @@ def assert_rigid_3regular(d, m, oriented):
     its arc set."""
     assert d.n == m
     assert not any(u == v for u, v in d.arcs())
-    assert d.out_degrees() == [3] * m and d.in_degrees() == [3] * m
+    assert degrees(d) == ([3] * m, [3] * m)
     if oriented:
-        assert not any(d.has_arc(v, u) for u, v in d.arcs())
+        assert digons(d) == []
     assert [p.tolist() for p in brute_force_automorphisms(d)] == [list(range(m))]
 
 
@@ -223,7 +224,8 @@ def test_c09_pdr_witnesses():
                          ("c4_semidirect_c4", 16), ("smallgroup:16:3", 16),
                          ("smallgroup:32:2", 32)]:
         g = group_from_token(token)
-        conn = next((c for c in pdr_candidates(g, 2) if verify_witness(g, c, "PDR")), None)
+        conn = next((c for c in pdr_candidates(g, 2)
+                     if verify_witness(g, c, "PDR", 3).is_representation), None)
         assert conn is not None, token
         assert aut_order(g, conn) == order
     assert time.monotonic() - t0 < 30.0

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from posr import catalog
 from posr.autgroup import automorphism_group, is_semiregular_rep
 from posr.catalog import (
     Claim,
@@ -14,7 +16,7 @@ from posr.catalog import (
     _run_claim,
     classify,
     cyclic_posr_sets,
-    fixed_digraphs,
+    fixed_digraph,
     load_claims,
     pdr_candidates,
     two_gen_2posr_candidates,
@@ -25,6 +27,8 @@ from posr.cayley import build_cayley, validate_sets
 from posr.errors import InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed
 from posr.groups import group_from_token, parse_group_spec
 from posr.search import verify_witness
+
+from oracles import degrees, digons
 
 
 def test_cyclic_sets_shapes():
@@ -113,20 +117,18 @@ def test_pdr_candidates_q8_family():
 
 
 def test_fixed_digraphs_structure():
-    byname = {nd.name: nd.digraph for nd in fixed_digraphs()}
-    assert set(byname) == {"fig1_9", "fig1_10", "gamma7", "gamma8"}
+    byname = {name: fixed_digraph(name) for name in ("fig1_9", "fig1_10", "gamma7", "gamma8")}
     for name, d in byname.items():
-        assert d.out_degrees() == [3] * d.n and d.in_degrees() == [3] * d.n
+        assert degrees(d) == ([3] * d.n, [3] * d.n)
         assert automorphism_group(d).order == 1
     for name in ("fig1_9", "fig1_10"):
-        d = byname[name]
-        assert not any(d.has_arc(v, u) for u, v in d.arcs())
+        assert digons(byname[name]) == []
     # gamma7 is NOT oriented: it has exactly these four digons
-    g7 = byname["gamma7"]
-    digons = sorted({tuple(sorted((u, v))) for u, v in g7.arcs() if g7.has_arc(v, u)})
-    assert digons == [(0, 6), (1, 3), (1, 4), (2, 5)]
-    assert byname["fig1_9"].has_arc(0, 2) and byname["fig1_10"].has_arc(0, 9)
-    assert byname["gamma8"].has_arc(0, 1)  # 1 -> 2 in the 1-based source labels
+    assert digons(byname["gamma7"]) == [(0, 6), (1, 3), (1, 4), (2, 5)]
+    assert (0, 2) in byname["fig1_9"].arcs() and (0, 9) in byname["fig1_10"].arcs()
+    assert (0, 1) in byname["gamma8"].arcs()  # 1 -> 2 in the 1-based source labels
+    with pytest.raises(InvalidParameter):
+        fixed_digraph("gamma9")
 
 
 @pytest.mark.parametrize("token,m,kind,answer,cite", [
@@ -163,8 +165,9 @@ def test_verify_witness_skips_bad_candidates():
     g = group_from_token("dihedral:6")
     published, corrected = pdr_candidates(g, 2)
     assert validate_sets(g, published, 3).ok_for("PDR")
-    assert not verify_witness(g, published, "PDR")
-    assert verify_witness(g, corrected, "PDR")
+    verdict = verify_witness(g, published, "PDR", 3)
+    assert not verdict.is_representation and verdict.aut_order == 12
+    assert verify_witness(g, corrected, "PDR", 3).is_representation
     assert is_semiregular_rep(build_cayley(g, corrected), g).is_representation
 
 
@@ -205,6 +208,32 @@ def test_negative_control_corrupted_witness():
                 kind="POSR", group="dihedral:8", m=2, sets={"m": 2, "sets": sets})
     result = _run_claim(bad, SuiteBudget())
     assert result.status == "Fail"
+
+
+def test_negative_control_rigid_digraphs(monkeypatch):
+    # a rigid digraph claim is decided as a representation of the trivial
+    # group: gamma7 is rigid and 3-regular, but its digons fail an oriented
+    # claim, and a loop is a non-partite cell
+    base = next(c for c in load_claims() if c.name == "gamma7-rigid")
+    assert _run_claim(base, SuiteBudget()).detail == "aut order 1"
+    oriented = dataclasses.replace(base, options={"oriented": True, "valency": 3})
+    result = _run_claim(oriented, SuiteBudget())
+    assert (result.status, result.detail) == ("Fail", "witness sets fail validation")
+    # 3-regular, each vertex with a loop
+    monkeypatch.setitem(catalog._FIXED, "loops4", {v: (v, (v + 1) % 4, (v + 2) % 4)
+                                                   for v in range(4)})
+    looped = dataclasses.replace(base, digraph="loops4")
+    result = _run_claim(looped, SuiteBudget())
+    assert (result.status, result.detail) == ("Fail", "witness sets fail validation")
+    # a rigid digraph of the wrong valency fails too
+    wrong_k = dataclasses.replace(base, options={"oriented": False, "valency": 2})
+    assert _run_claim(wrong_k, SuiteBudget()).status == "Fail"
+    # a regular digraph with automorphisms fails with the extra automorphism
+    monkeypatch.setitem(catalog._FIXED, "circulant7", {v: tuple((v + s) % 7 for s in (1, 2, 4))
+                                                       for v in range(7)})
+    result = _run_claim(dataclasses.replace(base, digraph="circulant7"), SuiteBudget())
+    assert (result.status, result.detail) == ("Fail", "aut order 21, expected 1")
+    assert result.evidence["extra_automorphism"] is not None
 
 
 def test_verify_all_default_tier():

@@ -19,7 +19,7 @@ from posr.cayley import (
 from posr.errors import IndexOutOfRange, InvalidParameter
 from posr.groups import group_from_token
 
-from oracles import relabel
+from oracles import degrees, relabel
 
 
 def z7_lemma_sets():
@@ -60,23 +60,38 @@ def test_vertex_convention():
         for i in range(2) for j in range(2) for t in conn.cell(i, j) for h in range(n)
     }
     # t = x, h = x^2 gives 2_0 -> 3_1
-    assert d.has_arc(2, 7 + 3)
+    assert (2, 7 + 3) in d.arcs()
 
 
 def test_digraph_basic_invariants():
     d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert d.n_arcs == 3
-    assert d.out_degrees() == [1, 1, 1] == d.in_degrees()
-    assert not d.has_loops
+    assert d.arcs() == [(0, 1), (1, 2), (2, 0)]
+    assert degrees(d) == ([1, 1, 1], [1, 1, 1])
+    # repeated arcs count once, in any order
+    assert Digraph(3, [(2, 0), (0, 1), (2, 0), (1, 2), (0, 1)]).arcs() == d.arcs()
     with pytest.raises(IndexOutOfRange):
         Digraph(2, [(0, 5)])
+    with pytest.raises(IndexOutOfRange):
+        Digraph(2, [(-1, 0)])
+
+
+def test_digraph_sets_of_the_trivial_group():
+    # a digraph on m vertices is the Cayley digraph of the trivial group
+    # with m parts and T_uv = {e} for each arc u -> v
+    g = group_from_token("cyclic:1")
+    d = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 2), (3, 0)])
+    conn = ConnectionSets.from_digraph(d)
+    assert build_cayley(g, conn).digraph.arcs() == d.arcs()
+    # the loop is a diagonal cell and the digon 0 <-> 1 meets its reverse
+    report = validate_sets(g, conn, 1)
+    assert not report.partite and not report.oriented and not report.regular
 
 
 def test_digraph_relabel_preserves_structure():
     d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     r = relabel(d, [2, 3, 0, 1])
-    assert r.n_arcs == d.n_arcs
-    assert r.has_arc(2, 3)
+    assert len(r.arcs()) == len(d.arcs())
+    assert (2, 3) in r.arcs()
 
 
 def test_validation_flags():
@@ -119,12 +134,10 @@ def test_right_translations_are_automorphisms():
 
 
 def reference_is_automorphism(d, perm):
-    """The per-vertex loop that the vectorised check replaced: the image of
-    each out-neighbourhood must be the image vertex's out-neighbourhood."""
-    for u in range(d.n):
-        if not np.array_equal(np.sort(perm[d.out_adj[u]]), d.out_adj[perm[u]]):
-            return False
-    return True
+    """The per-arc loop that the vectorised check replaced: a bijection maps
+    the arc set onto itself iff it maps every arc to an arc."""
+    arcs = set(d.arcs())
+    return all((int(perm[u]), int(perm[v])) in arcs for u, v in arcs)
 
 
 def test_is_digraph_automorphism_matches_reference():
@@ -140,25 +153,31 @@ def test_is_digraph_automorphism_matches_reference():
     assert verdicts == {False, True}
 
 
-def reference_csr(d):
-    """The per-vertex loop that the cumulative-sum offsets replaced."""
-    out_off = np.zeros(d.n + 1, dtype=np.int64)
-    in_off = np.zeros(d.n + 1, dtype=np.int64)
-    for v in range(d.n):
-        out_off[v + 1] = out_off[v] + len(d.out_adj[v])
-        in_off[v + 1] = in_off[v] + len(d.in_adj[v])
-    flat = [np.concatenate(adj).astype(np.int64) if d.n_arcs else np.zeros(0, dtype=np.int64)
-            for adj in (d.out_adj, d.in_adj)]
-    return flat[0], out_off, flat[1], in_off
+def reference_csr(n, arcs):
+    """The CSR arrays of an arc list, vertex by vertex: sorted out- and
+    in-neighbour lists, concatenated, with running offsets."""
+    arcs = set(arcs)
+    flat, offsets = [], []
+    for side in (0, 1):
+        lists = [sorted(a[1 - side] for a in arcs if a[side] == v) for v in range(n)]
+        flat.append(np.array([w for lst in lists for w in lst], dtype=np.int64))
+        offsets.append(np.array([sum(map(len, lists[:v])) for v in range(n + 1)],
+                                dtype=np.int64))
+    return flat[0], offsets[0], flat[1], offsets[1]
 
 
 def test_csr_matches_reference():
     rng = random.Random(12)
     for _ in range(200):
         n = rng.randint(0, 12)
-        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3])
-        for got, want in zip(d.csr(), reference_csr(d)):
+        arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3]
+        # repeats, in shuffled order, count once
+        arcs += rng.sample(arcs, len(arcs) // 3)
+        rng.shuffle(arcs)
+        d = Digraph(n, arcs)
+        for got, want in zip(d.csr(), reference_csr(n, arcs)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert d.arcs() == sorted(set(arcs))
 
 
 def test_right_translations_form_semiregular_copy():

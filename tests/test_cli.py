@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from posr import catalog, search
+from posr import catalog, cli, search
 from posr import io as pio
 from posr.catalog import cyclic_posr_sets, fixed_digraph
 from posr.cli import run
@@ -77,6 +77,36 @@ def test_search_antisym(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "ExhaustedNone"
 
 
+def test_search_antisym_time_budget(capsys):
+    # the budget is checked at each kernel node: the m=7 exhaustion (132
+    # candidates) stops at once
+    assert run(["search", "--antisym", "--m", "7", "--oriented", "--time-budget", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "Aborted"
+    assert run(["search", "--antisym", "--m", "7", "--oriented", "--time-budget", "60"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["candidates_examined"]) == ("ExhaustedNone", 132)
+
+
+@pytest.mark.parametrize("flags,rejected", [
+    (["--antisym", "--group", "cyclic:1"], "--group"),
+    (["--antisym", "--naive"], "--naive"),
+    (["--antisym", "--cursor-start", "5"], "--cursor-start"),
+    (["--antisym", "--cursor-start", "0"], "--cursor-start"),
+    (["--antisym", "--cursor-stop", "5"], "--cursor-stop"),
+    (["--antisym", "--progress-every", "10"], "--progress-every"),
+    (["--group", "cyclic:5", "--oriented"], "--oriented"),
+])
+def test_search_flags_of_the_other_mode_rejected(monkeypatch, capsys, flags, rejected):
+    # refused up front rather than silently dropped: no search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("search called")
+
+    monkeypatch.setattr(cli, "exists_antisymmetric_kregular", no_search)
+    monkeypatch.setattr(cli, "exists_mposr", no_search)
+    assert run(["search", "--m", "7", *flags]) == 2
+    assert rejected in capsys.readouterr().err
+
+
 def test_search_json_deterministic(capsys):
     run(["search", "--group", "cyclic:5", "--m", "2"])
     first = capsys.readouterr().out
@@ -139,6 +169,20 @@ def test_verify_budget_exit_codes(monkeypatch, capsys):
     by_name = {r["name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
     assert by_name["cyclic7-m2-posr-digons"]["status"] == "Fail"
     assert by_name["cyclic7-m2-posr"]["detail"].startswith("budget exceeded")
+
+
+def test_verify_time_budget_reaches_rigid_searches(monkeypatch, capsys):
+    # the trivial group's rigid-digraph searches check the per-claim time
+    # budget at each kernel node; without it m=7 exhausts 132 candidates
+    trivial = {"trivial-m4-posr-none", "trivial-m7-posr-none", "trivial-m6-pdr-none",
+               "trivial-m8-posr-none"}
+    load = catalog.load_claims
+    monkeypatch.setattr(catalog, "load_claims",
+                        lambda: [c for c in load() if c.name in trivial])
+    assert run(["verify", "--tier", "extended", "--time-budget", "0", "--output", "json"]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {(r["name"], r["status"], r["detail"]) for r in results} == {
+        (name, "Skip", "search aborted (budget)") for name in trivial}
 
 
 def test_removed_reduction_flag_is_usage_error(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from posr import autgroup, cayley, kernels, search
-from posr.cayley import ConnectionSets, sets_oriented, validate_sets
+from posr.cayley import ConnectionSets, Digraph, sets_oriented, validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
 from posr.search import (
@@ -21,6 +21,8 @@ from posr.search import (
     exists_mposr,
     verify_witness,
 )
+
+from oracles import degrees, digons
 
 
 def test_enumeration_counts():
@@ -189,7 +191,7 @@ def test_exists_mposr_verdicts():
     assert exists_mposr(group_from_token("cyclic:6"), 2, 3, "POSR").status == "ExhaustedNone"
     out = exists_mposr(group_from_token("cyclic:7"), 2, 3, "POSR")
     assert out.status == "FoundWitness"
-    assert verify_witness(group_from_token("cyclic:7"), out.witness, "POSR")
+    assert verify_witness(group_from_token("cyclic:7"), out.witness, "POSR", 3).is_representation
     assert exists_mposr(group_from_token("klein4"), 2, 3, "PDR").status == "ExhaustedNone"
 
 
@@ -402,7 +404,7 @@ def test_one_build_per_candidate(monkeypatch):
     for naive in (False, True):
         for _, conn in list(enumerate_connection_sets(g, 2, 3))[:60]:
             before = len(builds)
-            search._candidate_is_rep(g, conn, "PDR", 10**8, naive)
+            search._candidate_is_rep(g, conn, "PDR", 3, 10**8, naive)
             assert builds[before:] == [conn]
 
 
@@ -415,7 +417,7 @@ def test_search_witness_rechecked(monkeypatch):
 
 
 def _fake_kernel_witness(masks):
-    def search(m, k, oriented, lo, hi, budget):
+    def search(m, k, oriented, lo, hi, budget, deadline):
         return 1, 1, np.asarray(masks, dtype=np.int64)
     return search
 
@@ -428,22 +430,30 @@ def _masks(m, arcs):
 
 
 def test_kernel_witness_rechecked(monkeypatch):
+    # each bad witness is rejected by the one check, as connection sets of
+    # the trivial group; the flags say why it fails
+    trivial = group_from_token("cyclic:1")
     rigid = exists_antisymmetric_kregular(6, 3, False).witness
     # not regular: only vertex 0 has out-arcs
-    monkeypatch.setattr(kernels, "regular_digraph_search",
-                        _fake_kernel_witness(_masks(7, [(0, 1), (0, 2), (0, 3)])))
-    with pytest.raises(WitnessRejected, match="regular"):
+    star = [(0, 1), (0, 2), (0, 3)]
+    assert not validate_sets(trivial, ConnectionSets.from_digraph(Digraph(7, star)), 3).regular
+    monkeypatch.setattr(kernels, "regular_digraph_search", _fake_kernel_witness(_masks(7, star)))
+    with pytest.raises(WitnessRejected, match="re-check"):
         exists_antisymmetric_kregular(7, 3, True)
     # 3-regular and oriented, but the circulant Cay(Z7, {1, 2, 4}) is not rigid
     circulant = [(v, (v + s) % 7) for v in range(7) for s in (1, 2, 4)]
+    verdict = verify_witness(trivial, ConnectionSets.from_digraph(Digraph(7, circulant)), "POSR", 3)
+    assert verdict.aut_order == 21
     monkeypatch.setattr(kernels, "regular_digraph_search",
                         _fake_kernel_witness(_masks(7, circulant)))
-    with pytest.raises(WitnessRejected, match="rigid"):
+    with pytest.raises(WitnessRejected, match="re-check"):
         exists_antisymmetric_kregular(7, 3, True)
     # a rigid 3-regular digraph on 6 vertices must have a digon
+    report = validate_sets(trivial, ConnectionSets.from_digraph(rigid), 3)
+    assert report.ok_for("PDR") and not report.oriented
     monkeypatch.setattr(kernels, "regular_digraph_search",
                         _fake_kernel_witness(_masks(6, rigid.arcs())))
-    with pytest.raises(WitnessRejected, match="digon"):
+    with pytest.raises(WitnessRejected, match="re-check"):
         exists_antisymmetric_kregular(6, 3, True)
 
 
@@ -457,8 +467,8 @@ def test_antisymmetric_witness_reverified():
     out = exists_antisymmetric_kregular(9, 3, True)
     assert out.status == "FoundWitness"
     d = out.witness
-    assert d.out_degrees() == [3] * 9 and d.in_degrees() == [3] * 9
-    assert not any(d.has_arc(v, u) for u, v in d.arcs())
+    assert degrees(d) == ([3] * 9, [3] * 9)
+    assert digons(d) == []
 
 
 def test_antisymmetric_repeatable():
