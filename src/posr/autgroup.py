@@ -16,13 +16,13 @@ known subgroup may be seeded too.
 
 ``automorphism_group`` searches from scratch and takes exact group orders
 from a deterministic Schreier-Sims stabilizer chain over the generators it
-returns.  It checks that order against a second one, the product over the
-first path of each individualized vertex's orbit size under the generators
-that fix the vertices before it.  ``aut_is_translations`` decides whether a
-Cayley digraph is a representation with one pass instead: it seeds the known
-orbits of the right translations R(G) (the parts) into the depth-0 orbit
-pruning and stops at the first automorphism found, which necessarily lies
-outside R(G).
+returns, which tests each Schreier generator once.  It checks that order
+against a second one, the product over the first path of each individualized
+vertex's orbit size under the generators that fix the vertices before it.
+``aut_is_translations`` decides whether a Cayley digraph is a representation
+with one pass instead: it seeds the known orbits of the right translations
+R(G) (the parts) into the depth-0 orbit pruning and stops at the first
+automorphism found, which necessarily lies outside R(G).
 """
 
 from __future__ import annotations
@@ -298,8 +298,16 @@ def aut_is_translations(pd: PartitionedDigraph,
 # ---------------------------------------------------------------------------
 
 class StabilizerChain:
-    """Deterministic incremental Schreier-Sims with base points in ascending
-    vertex order restricted to non-fixed points."""
+    """Deterministic incremental Schreier-Sims (Sims 1970) with base points
+    in ascending vertex order restricted to non-fixed points.
+
+    Each Schreier generator is sifted once.  Transversal representatives are
+    never replaced and generator lists only grow, so a (level, point,
+    generator) triple always names the same Schreier generator; once it has
+    sifted through the deeper levels it stays in their group, which only
+    grows.  Each level therefore counts, per orbit point, how many of its
+    generators that point has been tested against, and a return to the level
+    tests only the new pairs."""
 
     def __init__(self, degree: int):
         self.degree = degree
@@ -315,6 +323,10 @@ class StabilizerChain:
         self.inverses: list[dict[int, np.ndarray]] = [
             {b: self.identity} for b in range(degree)
         ]
+        # per level, the orbit points in the order they entered the
+        # transversal, and how many of the level's generators each has met
+        self.points: list[list[int]] = [[b] for b in range(degree)]
+        self.tested: list[list[int]] = [[0] for _ in range(degree)]
 
     def base(self) -> list[int]:
         return [b for b in range(self.degree) if len(self.transversals[b]) > 1]
@@ -329,17 +341,20 @@ class StabilizerChain:
         """Reduce ``perm`` through the chain; returns (residue, level)."""
         p = perm
         b = start
-        while True:
-            # a level whose point p fixes has the identity as representative
-            moved = np.flatnonzero(p[b:] != self.identity[b:])
-            if not moved.size:
-                return p, self.degree
-            b += int(moved[0])
-            rep_inv = self.inverses[b].get(int(p[b]))
+        identity = self.identity
+        while b < self.degree:
+            # a level whose point p fixes has the identity as representative;
+            # argmax is the first moved point, or 0 when p fixes all of b..
+            b += int((p[b:] != identity[b:]).argmax())
+            img = int(p[b])
+            if img == b:
+                break
+            rep_inv = self.inverses[b].get(img)
             if rep_inv is None:
                 return p, b
             p = rep_inv[p]  # rep^-1 applied after p
             b += 1
+        return p, self.degree
 
     def add_generator(self, perm: np.ndarray) -> None:
         perm = np.asarray(perm, dtype=np.int64)
@@ -355,24 +370,31 @@ class StabilizerChain:
         """Restore the chain invariant from ``start`` back up to level 0:
         at each level the transversal spans the orbit of the base point under
         that level's generators, and every Schreier generator sifts to the
-        identity through the deeper levels."""
+        identity through the deeper levels.  A pair (point, generator) is
+        tested once, when the generator is new to the point."""
         level = start
         while level >= 0:
             transversal = self.transversals[level]
             inverses = self.inverses[level]
-            frontier = sorted(transversal)
-            dirty = False
-            while frontier and not dirty:
-                pt = frontier.pop(0)
+            points = self.points[level]
+            tested = self.tested[level]
+            gens = self.gens[level]
+            deeper = -1  # the level a residue was added down to
+            i = 0
+            while i < len(points) and deeper < 0:
+                pt = points[i]
                 rep = transversal[pt]
-                for g in self.gens[level]:
+                while tested[i] < len(gens) and deeper < 0:
+                    g = gens[tested[i]]
+                    tested[i] += 1
                     img = int(g[pt])
                     comp = g[rep]  # apply rep, then g
                     if img not in transversal:
                         transversal[img] = comp
                         inverses[img] = np.empty_like(comp)
                         inverses[img][comp] = self.identity
-                        frontier.append(img)
+                        points.append(img)
+                        tested.append(0)
                         continue
                     # Schreier generator: transversal[img]^-1 after comp
                     s = comp if img == level else inverses[img][comp]
@@ -380,8 +402,6 @@ class StabilizerChain:
                     if lev < self.degree:
                         for b in range(level + 1, lev + 1):
                             self.gens[b].append(residue)
-                        dirty = True
-                        level = lev
-                        break
-            if not dirty:
-                level -= 1
+                        deeper = lev
+                i += 1
+            level = deeper if deeper >= 0 else level - 1

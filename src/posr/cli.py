@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive witness search")
     p.add_argument("--group", help="group token, e.g. cyclic:6 or quaternion8")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kind", choices=["posr", "pdr"], default="posr")
+    p.add_argument("--kind", choices=["posr", "pdr"], default=None,
+                   help="default posr; not with --antisym, which takes --oriented")
     p.add_argument("--valency", type=int, default=3)
     p.add_argument("--antisym", action="store_true",
                    help="search bare k-regular digraphs instead of connection sets")
@@ -91,7 +92,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     # flags of the one search that the other does not read
     if args.antisym:
-        ignored = {"--group": args.group, "--naive": args.naive,
+        ignored = {"--group": args.group, "--kind": args.kind, "--naive": args.naive,
                    "--cursor-start": args.cursor_start, "--cursor-stop": args.cursor_stop,
                    "--progress-every": args.progress_every}
     else:
@@ -109,7 +110,7 @@ def _cmd_search(args) -> int:
             print("error: --group is required without --antisym", file=sys.stderr)
             return 2
         outcome = exists_mposr(
-            group_from_token(args.group), args.m, args.valency, args.kind.upper(),
+            group_from_token(args.group), args.m, args.valency, (args.kind or "posr").upper(),
             naive=args.naive, cursor_start=args.cursor_start or 0,
             cursor_stop=args.cursor_stop, time_budget=args.time_budget,
             progress_every=args.progress_every,

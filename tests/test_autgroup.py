@@ -228,6 +228,37 @@ def test_disjoint_triangles_few_generators(k):
         assert len(res.generators) <= 2 * k
 
 
+@pytest.mark.parametrize("name", ["empty12", "triangles6"])
+def test_schreier_generators_sifted_once(monkeypatch, name):
+    # one sift per add_generator, and at most one per (level, orbit point,
+    # level generator) triple: a Schreier generator is never tested twice
+    if name == "empty12":
+        d, order = Digraph(12, []), factorial(12)
+    else:
+        perm = list(range(18))
+        random.Random(name).shuffle(perm)
+        d, order = relabel(disjoint_triangles(6), perm), 3 ** 6 * factorial(6)
+    chains, counts = [], {"add_generator": 0, "sift": 0}
+    add_generator, sift = StabilizerChain.add_generator, StabilizerChain.sift
+
+    def counted_add_generator(self, perm):
+        counts["add_generator"] += 1
+        if self not in chains:
+            chains.append(self)
+        return add_generator(self, perm)
+
+    def counted_sift(self, perm, start=0):
+        counts["sift"] += 1
+        return sift(self, perm, start)
+
+    monkeypatch.setattr(StabilizerChain, "add_generator", counted_add_generator)
+    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
+    assert automorphism_group(d).order == order
+    (chain,) = chains
+    pairs = sum(len(t) * len(g) for t, g in zip(chain.transversals, chain.gens))
+    assert counts["sift"] <= counts["add_generator"] + pairs
+
+
 def test_order_mismatch_raises(monkeypatch):
     # the Schreier-Sims order is checked against the first-path orbit product
     monkeypatch.setattr(autgroup.StabilizerChain, "order", lambda self: 5)

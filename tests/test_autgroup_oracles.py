@@ -7,9 +7,10 @@ import os
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
-from posr.autgroup import automorphism_group
+from posr.autgroup import StabilizerChain, automorphism_group
 from posr.cayley import Digraph
 
 nx = pytest.importorskip("networkx")
@@ -117,3 +118,66 @@ def test_random_digraphs_match_oracles():
     # rigid, small and huge groups all occur
     assert 1 in orders and any(1 < o <= COUNT_LIMIT for o in orders)
     assert any(o > COUNT_LIMIT for o in orders)
+
+
+def random_generator_set(rng, n):
+    """Permutations of degree ``n`` from one of four families (random, sparse
+    short cycles, block-preserving, powers of one permutation), mixed with
+    identities and repeats and shuffled."""
+    family = rng.choice(["random", "sparse", "blocks", "powers"])
+    gens = []
+    if family == "random":
+        for _ in range(rng.randint(1, 3)):
+            gens.append(rng.sample(range(n), n))
+    elif family == "sparse":
+        for _ in range(rng.randint(1, 4)):
+            p = list(range(n))
+            cycle = rng.sample(range(n), min(n, rng.choice([2, 3])))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p[a] = b
+            gens.append(p)
+    elif family == "blocks":
+        size = rng.choice([b for b in range(1, n + 1) if n % b == 0])
+        for _ in range(rng.randint(1, 3)):
+            blocks = rng.sample(range(n // size), n // size)
+            shift = [rng.randrange(size) for _ in range(n // size)]
+            gens.append([blocks[v // size] * size + (v + shift[v // size]) % size
+                         for v in range(n)])
+    else:
+        base = rng.sample(range(n), n)
+        p = base
+        for _ in range(rng.randint(1, 3)):
+            gens.append(p)
+            p = [base[v] for v in p]
+    gens += [list(range(n))] * rng.randint(0, 2)
+    gens += rng.sample(gens, rng.randint(0, len(gens)))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_stabilizer_chain_matches_sympy():
+    # the chain against an independent Schreier-Sims: order and membership
+    rng = random.Random(1970)
+    members = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        gens = random_generator_set(rng, n)
+        chain = StabilizerChain(n)
+        for g in gens:
+            chain.add_generator(np.array(g, dtype=np.int64))
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g) for g in gens])
+        assert chain.order() == group.order()
+        for _ in range(6):
+            if rng.random() < 0.5:
+                # a product of generators, always a member
+                x = list(range(n))
+                for g in rng.choices(gens, k=rng.randint(1, 5)):
+                    x = [g[v] for v in x]
+            else:
+                x = rng.sample(range(n), n)
+            residue, _ = chain.sift(np.array(x, dtype=np.int64))
+            member = group.contains(combinatorics.Permutation(x))
+            assert np.array_equal(residue, np.arange(n)) == member
+            members[member] += 1
+    assert members[True] and members[False]

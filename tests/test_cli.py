@@ -95,6 +95,9 @@ def test_search_antisym_time_budget(capsys):
     (["--antisym", "--cursor-stop", "5"], "--cursor-stop"),
     (["--antisym", "--progress-every", "10"], "--progress-every"),
     (["--group", "cyclic:5", "--oriented"], "--oriented"),
+    # --kind posr would otherwise return a witness with digons
+    (["--antisym", "--kind", "posr"], "--kind"),
+    (["--antisym", "--kind", "pdr"], "--kind"),
 ])
 def test_search_flags_of_the_other_mode_rejected(monkeypatch, capsys, flags, rejected):
     # refused up front rather than silently dropped: no search runs
