@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .autgroup import DEFAULT_NODE_BUDGET
 from .cayley import ConnectionSets, Digraph, validate_sets
 from .errors import (BudgetExceeded, InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed,
                      UnknownGenerator)
-from .groups import GroupSpec, GroupTable, group_from_token, in_phi, named_group
+from .groups import GroupTable, group_from_token, in_phi
 from .search import exists_antisymmetric_kregular, exists_mposr, verify_witness
 
 
@@ -263,15 +264,16 @@ _PHI_EXCEPTIONS = {"quaternion8", "c4_semidirect_c4", "smallgroup:16:3", "smallg
 _NONPHI_EXCEPTIONS = {"klein4", "dihedral:6"}
 
 
-def classify(spec: GroupSpec, m: int, kind: str) -> Verdict:
-    """The published valency-3 classification, evaluated literally."""
+def classify(g: GroupTable, m: int, kind: str) -> Verdict:
+    """The published valency-3 classification, evaluated literally for the
+    named group ``g`` (a table from ``group_from_token``)."""
     kind = kind.upper()
     if kind not in ("POSR", "PDR"):
         raise InvalidParameter(f"unknown kind {kind!r}")
     if m < 2:
         raise InvalidParameter("m must be >= 2")
-    if spec.kind == "cyclic":
-        n = spec.n
+    if g.name.startswith("cyclic:"):
+        n = g.order
         if kind == "POSR":
             if m == 2 and n <= 6:
                 return Verdict("No", "Theorem 1.1(i)")
@@ -290,8 +292,7 @@ def classify(spec: GroupSpec, m: int, kind: str) -> Verdict:
             return Verdict("No", "Corollary 1.6(1)(iii)")
         return Verdict("Yes", "Theorem 1.5 / Corollary 1.6(1)")
     # non-cyclic two-generated groups
-    g = named_group(spec)
-    token = spec.token()
+    token = g.name
     if kind == "POSR":
         if m >= 3:
             if token == "klein4":
@@ -388,7 +389,7 @@ class SuiteBudget:
     rigid-digraph searches the kernel's descents."""
 
     tier: str = "default"
-    node_budget: int = 100_000_000
+    node_budget: int = DEFAULT_NODE_BUDGET
     time_budget_per_claim: float | None = None
 
 

@@ -81,6 +81,9 @@ class ConnectionSets:
 
     @staticmethod
     def from_json(data: dict, g: GroupTable) -> "ConnectionSets":
+        for key in ("m", "sets"):
+            if not isinstance(data, dict) or key not in data:
+                raise InvalidParameter(f"connection sets: missing key {key!r}")
         m = int(data["m"])
         sets = [
             [[g.evaluate_word(w) if isinstance(w, str) else int(w) for w in cell]

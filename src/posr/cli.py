@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import io as pio
-from .autgroup import automorphism_group
+from .autgroup import DEFAULT_NODE_BUDGET, automorphism_group
 from .catalog import SuiteBudget, classify, verify_all
 from .errors import PosrError
-from .groups import group_from_token, parse_group_spec
+from .groups import group_from_token
 from .search import exists_antisymmetric_kregular, exists_mposr
 
 
@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=["default", "extended"],
                    default=os.environ.get("POSR_TIER", "default"))
     p.add_argument("--output", choices=["json", "table"], default="table")
-    p.add_argument("--node-budget", type=int, default=100_000_000,
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="per search: IR nodes of each automorphism-solver call, "
                         "kernel descents of each rigid-digraph search")
     p.add_argument("--time-budget", type=float, default=None,
@@ -151,7 +151,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    verdict = classify(parse_group_spec(args.group), args.m, args.kind.upper())
+    verdict = classify(group_from_token(args.group), args.m, args.kind.upper())
     print(str(verdict))
     return 0
 

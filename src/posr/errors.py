@@ -5,14 +5,6 @@ class PosrError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyGeneratorList(PosrError):
-    pass
-
-
-class ClosureCapExceeded(PosrError):
-    pass
-
-
 class InvalidParameter(PosrError):
     pass
 

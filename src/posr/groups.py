@@ -3,7 +3,12 @@
 Elements are indices 0..n-1 with 0 always the identity.  Tables are built
 from explicit permutation generators; the element numbering is the
 breadth-first order over generator words (identity first, then generator
-images in input order), so two builds from the same input agree exactly.
+images in input order), so it depends only on the abstract group and its
+generators, not on the permutation representation.
+
+This is the one module that reads group tokens (``group_from_token``).  Most
+named groups are metacyclic and built from their presentation
+(``_metacyclic``); the rest from literal generator permutations.
 
 Convention: ``D_n`` here is the dihedral group OF ORDER ``n`` (so ``D_8``
 has 8 elements).  This is the less common of the two conventions in the
@@ -19,15 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClosureCapExceeded,
-    EmptyGeneratorList,
-    InvalidParameter,
-    NotTwoGenerated,
-    UnknownGenerator,
-)
-
-DEFAULT_CLOSURE_CAP = 100_000
+from .errors import InvalidParameter, NotTwoGenerated, TooLarge, UnknownGenerator
 
 # Word = "1" | "x" | "x^3" | "x^2*y^-1" ... or a sequence of (label, exponent).
 Word = "str | Sequence[tuple[str, int]]"
@@ -154,8 +151,7 @@ class GroupTable:
 
 def group_from_permutations(
     gens: Sequence[Sequence[int]],
-    labels: Sequence[str] | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    labels: Sequence[str],
     name: str = "",
 ) -> GroupTable:
     """Build the multiplication table of the group generated by permutations.
@@ -163,255 +159,144 @@ def group_from_permutations(
     The group product a*b is function composition "apply b, then a", so a
     word evaluates left-to-right as usual.  Element numbering is BFS over
     words: identity first, then products word*generator in discovery order.
+    The walk records each element e = parent * g_k and the right products
+    e * g_k, so column e of the table is the column of its parent mapped
+    through g_k: O(n^2) work, no permutation product per table entry.
     """
-    if not gens:
-        raise EmptyGeneratorList("need at least one generator permutation")
+    if not gens or len(labels) != len(gens):
+        raise InvalidParameter("need one label per generator, and at least one generator")
     degree = len(gens[0])
     perms = []
     for p in gens:
-        arr = np.asarray(p, dtype=np.int64)
+        arr = np.asarray(p, dtype=np.int32)
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise InvalidParameter("generators must be permutations of a common point set")
         perms.append(arr)
-    if labels is None:
-        labels = ["x", "y", "z", "w"][: len(perms)] or ["x"]
-    if len(labels) != len(perms):
-        raise InvalidParameter("one label per generator required")
 
-    identity = np.arange(degree)
-    elems: list[np.ndarray] = [identity]
-    index: dict[bytes, int] = {identity.tobytes(): 0}
+    keys = [np.arange(degree, dtype=np.int32).tobytes()]
+    index = {keys[0]: 0}
     words: list[list[tuple[str, int]]] = [[]]
+    parent, step = [0], [0]  # element e = parent[e] * gens[step[e]]
+    right: list[list[int]] = [[] for _ in perms]  # right[k][e] = e * gens[k]
     head = 0
-    while head < len(elems):
-        base = elems[head]
-        for lab, gp in zip(labels, perms):
+    while head < len(keys):
+        base = np.frombuffer(keys[head], dtype=np.int32)
+        for k, (lab, gp) in enumerate(zip(labels, perms)):
             # word w*g with composition convention new[i] = base[gp[i]]
-            new = base[gp]
-            key = new.tobytes()
-            if key not in index:
-                if len(elems) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-                index[key] = len(elems)
-                elems.append(new)
-                words.append(words[head] + [(lab, 1)])
+            key = base[gp].tobytes()
+            e = index.get(key)
+            if e is None:
+                e = index[key] = len(keys)
+                keys.append(key)
+                parent.append(head)
+                step.append(k)
+                w = words[head]
+                if w and w[-1][0] == lab:
+                    words.append(w[:-1] + [(lab, w[-1][1] + 1)])
+                else:
+                    words.append(w + [(lab, 1)])
+            right[k].append(e)
         head += 1
 
-    n = len(elems)
+    n = len(keys)
+    right_arr = np.array(right, dtype=np.int32)
     mult = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        pa = elems[a]
-        for b in range(n):
-            # (a*b) acts as "apply b, then a": perm[i] = pa[pb[i]]
-            mult[a, b] = index[pa[elems[b]].tobytes()]
-    inv = np.empty(n, dtype=np.int32)
-    for a in range(n):
-        row = mult[a]
-        inv[a] = int(np.nonzero(row == 0)[0][0])
-
-    gen_indices = [(lab, index[gp.tobytes()]) for lab, gp in zip(labels, perms)]
-    word_strs = [format_word(_compress(w)) for w in words]
+    mult[:, 0] = np.arange(n)
+    for e in range(1, n):
+        # a * e = (a * parent[e]) * gens[step[e]]
+        mult[:, e] = right_arr[step[e]][mult[:, parent[e]]]
     return GroupTable(
         order=n,
         mult=mult,
-        inv=inv,
-        generators=gen_indices,
-        words=word_strs,
+        inv=mult.argmin(axis=1).astype(np.int32),  # the one 0 in each row
+        generators=[(lab, right[k][0]) for k, lab in enumerate(labels)],
+        words=[format_word(w) for w in words],
         name=name,
     )
-
-
-def _compress(pairs: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for label, exp in pairs:
-        if out and out[-1][0] == label:
-            out[-1] = (label, out[-1][1] + exp)
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append((label, exp))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Named groups
 # ---------------------------------------------------------------------------
 
-# Regular permutation representations of the two order-16/32 groups with
-# generators satisfying (derived once by coset enumeration, validated in
-# tests/test_groups.py):
+# Largest n accepted in cyclic:n and dihedral:n, checked before anything is
+# built: the table then takes 64 MB.
+MAX_ORDER = 4096
+
+# token -> (a, b, r, s) of _metacyclic
+_METACYCLIC = {
+    "klein4": (2, 2, 1, 0),
+    "elem_abelian_9": (3, 3, 1, 0),
+    "quaternion8": (4, 2, -1, 2),
+    "c4_semidirect_c4": (4, 4, -1, 0),
+}
+
+# Generators (x, y) of the groups that are not metacyclic.  heisenberg27 acts
+# on F_3^2, point 3u + v: x maps (u, v) to (u + 1, v) and y to (u, v + u).
+# The order-16/32 groups act regularly, with generators satisfying (derived
+# once by coset enumeration, validated in tests/test_groups.py):
 #   order 16: o(x)=o(y)=4, o(xy)=2, y=x^2yx^2, x=y^2xy^2
 #   order 32: o(x)=o(y)=o(xy)=o(yx)=o(x^2y)=4, y=x^2yx^2, x=y^2xy^2
-_SG16_3_X = [1, 2, 3, 0, 14, 11, 8, 6, 9, 7, 5, 15, 4, 12, 13, 10]
-_SG16_3_Y = [4, 7, 13, 8, 5, 6, 0, 11, 10, 2, 14, 12, 1, 15, 3, 9]
-_SG32_2_X = [1, 5, 0, 10, 13, 2, 17, 20, 18, 21, 15, 3, 19, 16, 4, 11,
-             14, 8, 6, 27, 9, 7, 12, 28, 29, 30, 31, 22, 25, 26, 23, 24]
-_SG32_2_Y = [3, 6, 8, 12, 0, 15, 19, 1, 22, 2, 23, 25, 4, 24, 26, 27,
-             5, 28, 30, 7, 29, 31, 9, 13, 10, 14, 11, 16, 20, 17, 21, 18]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A parsed description of a supported named group."""
-
-    kind: str
-    n: int = 0
-
-    def token(self) -> str:
-        if self.kind == "cyclic":
-            return f"cyclic:{self.n}"
-        if self.kind == "dihedral":
-            return f"dihedral:{self.n}"
-        if self.kind == "smallgroup_16_3":
-            return "smallgroup:16:3"
-        if self.kind == "smallgroup_32_2":
-            return "smallgroup:32:2"
-        return self.kind
-
-
-_SIMPLE_KINDS = {
-    "klein4",
-    "elem_abelian_9",
-    "quaternion8",
-    "alternating4",
-    "heisenberg27",
-    "c4_semidirect_c4",
+_PERMUTATIONS = {
+    "alternating4": ([1, 2, 0, 3], [1, 0, 3, 2]),
+    "heisenberg27": ([3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7]),
+    "smallgroup:16:3": ([1, 2, 3, 0, 14, 11, 8, 6, 9, 7, 5, 15, 4, 12, 13, 10],
+                        [4, 7, 13, 8, 5, 6, 0, 11, 10, 2, 14, 12, 1, 15, 3, 9]),
+    "smallgroup:32:2": ([1, 5, 0, 10, 13, 2, 17, 20, 18, 21, 15, 3, 19, 16, 4, 11,
+                         14, 8, 6, 27, 9, 7, 12, 28, 29, 30, 31, 22, 25, 26, 23, 24],
+                        [3, 6, 8, 12, 0, 15, 19, 1, 22, 2, 23, 25, 4, 24, 26, 27,
+                         5, 28, 30, 7, 29, 31, 9, 13, 10, 14, 11, 16, 20, 17, 21, 18]),
 }
 
 
-def parse_group_spec(token: str) -> GroupSpec:
-    """Parse a text token like ``cyclic:12``, ``dihedral:8``, ``smallgroup:16:3``."""
-    token = token.strip().lower()
-    if token in ("trivial", "1"):
-        return GroupSpec("cyclic", 1)
-    if token in _SIMPLE_KINDS:
-        return GroupSpec(token)
-    parts = token.split(":")
-    if parts[0] == "cyclic" and len(parts) == 2:
-        n = int(parts[1])
-        if n < 1:
-            raise InvalidParameter("cyclic order must be >= 1")
-        return GroupSpec("cyclic", n)
-    if parts[0] == "dihedral" and len(parts) == 2:
-        n = int(parts[1])
+def _metacyclic(a: int, b: int, r: int, s: int, name: str) -> GroupTable:
+    """<x, y | x^a, y^b = x^s, y^-1 x y = x^r>, through the left translations
+    on the normal forms y^j x^i (point j*a + i); only x when b = 1."""
+    x = [j * a + (i + r ** j) % a for j in range(b) for i in range(a)]
+    y = [(j + 1) * a + i if j + 1 < b else (i + s) % a for j in range(b) for i in range(a)]
+    if b == 1:
+        return group_from_permutations([x], ["x"], name=name)
+    return group_from_permutations([x, y], ["x", "y"], name=name)
+
+
+def named_group(token: str) -> GroupTable:
+    """Build the GroupTable of a named group from its lower-case token; the
+    table's name is the canonical token (``cyclic:07`` names ``cyclic:7``)."""
+    kind, *args = token.split(":")
+    try:
+        nums = [int(arg) for arg in args]
+    except ValueError:
+        raise InvalidParameter(f"group token {token!r}: expected integers after {kind!r}") from None
+    token = ":".join([kind, *map(str, nums)])
+    if kind in ("cyclic", "dihedral") and len(nums) == 1:
+        n = nums[0]
+        if n > MAX_ORDER:
+            raise TooLarge(f"{token}: order {n} is above the limit {MAX_ORDER}")
+        if kind == "cyclic":
+            if n < 1:
+                raise InvalidParameter(f"{token}: cyclic order must be >= 1")
+            return _metacyclic(n, 1, 1, 0, token)
         if n < 4 or n % 2:
             raise InvalidParameter(
-                f"dihedral:{n}: D_n means the dihedral group of ORDER n; n must be even and >= 4"
+                f"{token}: D_n means the dihedral group of ORDER n; n must be even and >= 4"
             )
-        return GroupSpec("dihedral", n)
-    if parts[0] == "smallgroup" and len(parts) == 3:
-        key = (int(parts[1]), int(parts[2]))
-        if key == (16, 3):
-            return GroupSpec("smallgroup_16_3")
-        if key == (32, 2):
-            return GroupSpec("smallgroup_32_2")
-        raise InvalidParameter(f"unsupported smallgroup:{parts[1]}:{parts[2]}")
+        return _metacyclic(n // 2, 2, -1, 0, token)
+    if token in _METACYCLIC:
+        return _metacyclic(*_METACYCLIC[token], token)
+    if token in _PERMUTATIONS:
+        g = group_from_permutations(_PERMUTATIONS[token], ["x", "y"], name=token)
+        if token == "heisenberg27":
+            # z is the derived commutator word [x, y] = x^-1 y^-1 x y
+            g.generators.append(("z", g.evaluate_word("x^-1*y^-1*x*y")))
+        return g
     raise InvalidParameter(f"unrecognized group token {token!r}")
 
 
-def _cycle(n: int) -> list[int]:
-    return [(i + 1) % n for i in range(n)]
-
-
-def _structural_regular_gens(elements, mul, gens):
-    """Left-translation permutations of chosen generators on an element list."""
-    idx = {e: i for i, e in enumerate(elements)}
-    out = []
-    for g in gens:
-        out.append([idx[mul(g, e)] for e in elements])
-    return out
-
-
-def _quaternion8_gens():
-    # elements x^a y^b with a in Z4, b in Z2; y^2 = x^2, y x = x^-1 y
-    elements = [(a, b) for b in range(2) for a in range(4)]
-
-    def mul(u, v):
-        (a, b), (c, d) = u, v
-        a2 = (a + (c if b == 0 else -c)) % 4
-        b2 = b + d
-        if b2 == 2:
-            return ((a2 + 2) % 4, 0)
-        return (a2, b2)
-
-    return _structural_regular_gens(elements, mul, [(1, 0), (0, 1)])
-
-
-def _heisenberg27_gens():
-    # upper unitriangular 3x3 over F3, coordinates (a, b, c)
-    elements = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-
-    def mul(u, v):
-        (a, b, c), (d, e, f) = u, v
-        return ((a + d) % 3, (b + e) % 3, (c + f + a * e) % 3)
-
-    return _structural_regular_gens(elements, mul, [(1, 0, 0), (0, 1, 0)])
-
-
-def named_group(spec: GroupSpec) -> GroupTable:
-    """Build the GroupTable of a named group with distinguished generators."""
-    if spec.kind == "cyclic":
-        n = spec.n
-        if n == 1:
-            g = group_from_permutations([[0]], ["x"], name="cyclic:1")
-        else:
-            g = group_from_permutations([_cycle(n)], ["x"], name=f"cyclic:{n}")
-        return g
-    if spec.kind == "klein4":
-        return group_from_permutations(
-            [[1, 0, 2, 3], [0, 1, 3, 2]], ["x", "y"], name="klein4"
-        )
-    if spec.kind == "elem_abelian_9":
-        return group_from_permutations(
-            [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]], ["x", "y"], name="elem_abelian_9"
-        )
-    if spec.kind == "dihedral":
-        n = spec.n
-        k = n // 2
-        if k == 2:
-            # D_4 is the Klein group; keep x of order 2
-            return group_from_permutations(
-                [[1, 0, 2, 3], [0, 1, 3, 2]], ["x", "y"], name="dihedral:4"
-            )
-        rot = _cycle(k)
-        refl = [(-i) % k for i in range(k)]
-        return group_from_permutations([rot, refl], ["x", "y"], name=f"dihedral:{n}")
-    if spec.kind == "quaternion8":
-        return group_from_permutations(_quaternion8_gens(), ["x", "y"], name="quaternion8")
-    if spec.kind == "alternating4":
-        return group_from_permutations(
-            [[1, 2, 0, 3], [1, 0, 3, 2]], ["x", "y"], name="alternating4"
-        )
-    if spec.kind == "heisenberg27":
-        g = group_from_permutations(_heisenberg27_gens(), ["x", "y"], name="heisenberg27")
-        # z is the derived commutator word [x, y] = x^-1 y^-1 x y
-        z = g.evaluate_word("x^-1*y^-1*x*y")
-        g.generators.append(("z", z))
-        return g
-    if spec.kind == "c4_semidirect_c4":
-        # x^a y^b with y^-1 x y = x^-1: (a,b)(a',b') = (a + (-1)^b a', b + b')
-        elements = [(a, b) for b in range(4) for a in range(4)]
-
-        def mul(p, q):
-            a, b = p
-            c, d = q
-            return ((a + (c if b % 2 == 0 else -c)) % 4, (b + d) % 4)
-
-        gens = _structural_regular_gens(elements, mul, [(1, 0), (0, 1)])
-        return group_from_permutations(gens, ["x", "y"], name="c4_semidirect_c4")
-    if spec.kind == "smallgroup_16_3":
-        return group_from_permutations(
-            [_SG16_3_X, _SG16_3_Y], ["x", "y"], name="smallgroup:16:3"
-        )
-    if spec.kind == "smallgroup_32_2":
-        return group_from_permutations(
-            [_SG32_2_X, _SG32_2_Y], ["x", "y"], name="smallgroup:32:2"
-        )
-    raise InvalidParameter(f"unknown group kind {spec.kind!r}")
-
-
 def group_from_token(token: str) -> GroupTable:
-    return named_group(parse_group_spec(token))
+    """The named group of a text token such as ``cyclic:12``, ``dihedral:8``
+    or ``smallgroup:16:3``; case and surrounding blanks do not matter."""
+    token = token.strip().lower()
+    return named_group("cyclic:1" if token in ("trivial", "1") else token)
 
 
 def in_phi(g: GroupTable) -> bool:

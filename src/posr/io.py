@@ -29,14 +29,17 @@ def parse_edgelist(text: str) -> Digraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        want = "'n <count>' header" if n is None else "'u v' arc line"
+        if len(parts) != 2 or n is None and parts[0] != "n":
+            raise InvalidParameter(f"expected {want}, got {line!r}")
+        try:
+            values = [int(part) for part in (parts[1:] if n is None else parts)]
+        except ValueError:
+            raise InvalidParameter(f"expected integers in the {want}, got {line!r}") from None
         if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise InvalidParameter(f"expected 'n <count>' header, got {line!r}")
-            n = int(parts[1])
-            continue
-        if len(parts) != 2:
-            raise InvalidParameter(f"expected 'u v' arc line, got {line!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
+            n = values[0]
+        else:
+            arcs.append(tuple(values))
     if n is None:
         raise InvalidParameter("missing 'n <count>' header")
     return Digraph(n, arcs)
@@ -70,4 +73,8 @@ def connection_sets_to_json(conn: ConnectionSets, g: GroupTable | None = None) -
 
 
 def parse_connection_sets(text: str, g: GroupTable) -> ConnectionSets:
-    return ConnectionSets.from_json(json.loads(text), g)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"connection-set file is not JSON: {exc}") from None
+    return ConnectionSets.from_json(data, g)

@@ -58,7 +58,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels
-from .autgroup import RepVerdict, aut_is_translations, is_semiregular_rep
+from .autgroup import DEFAULT_NODE_BUDGET, RepVerdict, aut_is_translations, is_semiregular_rep
 from .cayley import (
     ConnectionSets,
     Digraph,
@@ -67,8 +67,6 @@ from .cayley import (
 )
 from .errors import InvalidParameter, TooLarge, WitnessRejected
 from .groups import GroupTable, group_automorphisms, group_from_token
-
-DEFAULT_NODE_BUDGET = 100_000_000
 
 
 @dataclass

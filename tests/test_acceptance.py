@@ -38,7 +38,7 @@ from posr.cayley import (
     right_translations,
     validate_sets,
 )
-from posr.groups import group_from_token, parse_group_spec
+from posr.groups import group_from_token
 from posr.search import exists_antisymmetric_kregular, exists_mposr, verify_witness
 
 from oracles import brute_force_automorphisms, degrees, digons
@@ -316,6 +316,7 @@ def test_c12_classify_matches_search():
              ("klein4", 2, "POSR"), ("klein4", 2, "PDR"),
              ("dihedral:6", 2, "POSR"), ("quaternion8", 2, "POSR")]
     for token, m, kind in cells:
-        verdict = classify(parse_group_spec(token), m, kind)
-        out = exists_mposr(group_from_token(token), m, 3, kind)
+        g = group_from_token(token)
+        verdict = classify(g, m, kind)
+        out = exists_mposr(g, m, 3, kind)
         assert (verdict.answer == "Yes") == (out.status == "FoundWitness"), (token, m, kind)

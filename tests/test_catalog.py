@@ -25,7 +25,7 @@ from posr.catalog import (
 )
 from posr.cayley import build_cayley, validate_sets
 from posr.errors import InvalidParameter, NoCandidate, OutOfRange, PreconditionFailed
-from posr.groups import group_from_token, parse_group_spec
+from posr.groups import group_from_token
 from posr.search import verify_witness
 
 from oracles import degrees, digons
@@ -154,7 +154,7 @@ def test_fixed_digraphs_structure():
     ("dihedral:6", 2, "PDR", "Yes", "Corollary 1.6(2)"),
 ])
 def test_classify_table(token, m, kind, answer, cite):
-    verdict = classify(parse_group_spec(token), m, kind)
+    verdict = classify(group_from_token(token), m, kind)
     assert verdict.answer == answer
     assert verdict.citation == cite
 

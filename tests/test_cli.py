@@ -218,3 +218,31 @@ def test_search_antisym_too_large(monkeypatch, capsys):
     assert "63 vertices" in capsys.readouterr().err
     with pytest.raises(TooLarge):
         search.exists_antisymmetric_kregular(64, 3, oriented=True)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["classify", "--group", "cyclic:abc", "--m", "2"], "cyclic:abc"),
+    (["search", "--group", "dihedral:x", "--m", "2"], "dihedral:x"),
+    (["search", "--group", "smallgroup:16:q", "--m", "2"], "smallgroup:16:q"),
+    (["classify", "--group", "cyclic:100000", "--m", "2"], "cyclic:100000"),
+])
+def test_malformed_group_token_is_usage_error(capsys, argv, named):
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("aut", "n 3\n0 x\n", "'0 x'"),
+    ("aut", "n three\n0 1\n", "'n three'"),
+    ("build", "not json\n", "not JSON"),
+    ("build", '{"m": 2}\n', "'sets'"),
+])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, named):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if command == "aut":
+        argv = ["aut", "--input", str(path)]
+    else:
+        argv = ["build", "--group", "cyclic:7", "--m", "2", "--sets", str(path)]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Design rules checked on the source: no exported function without a
-caller, and no check that leans on ``assert`` or a catch-all ``except``.
+caller, no error class that nothing raises, and no check that leans on
+``assert`` or a catch-all ``except``.
 
 Every public module-level function or class in ``src/posr``, and every
 public method of such a class, must be referenced somewhere in ``src/posr``
@@ -14,7 +15,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-from posr import cayley
+from posr import cayley, errors
 
 SRC = Path(cayley.__file__).parent
 
@@ -83,3 +84,18 @@ def test_no_assert_or_catch_all_except():
                     or isinstance(node.type, ast.Name) and node.type.id == "Exception"):
                 found.append(f"{path.name}:{node.lineno}: catch-all except")
     assert not found, found
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead code that handlers still name
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.PosrError)
+               and value is not errors.PosrError}
+    assert not classes - raised, f"error classes never raised in src/posr: {sorted(classes - raised)}"

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 
-from posr.errors import InvalidParameter, NotTwoGenerated, UnknownGenerator
+from posr.errors import InvalidParameter, NotTwoGenerated, TooLarge, UnknownGenerator
 from posr.groups import (
     group_automorphisms,
     group_from_permutations,
     group_from_token,
     in_phi,
     parse_word,
-    parse_group_spec,
 )
 
 from oracles import check_relations
@@ -175,15 +177,66 @@ def test_in_phi_not_two_generated():
         in_phi(g)
 
 
-def test_parse_group_spec_errors():
-    with pytest.raises(InvalidParameter):
-        parse_group_spec("dihedral:7")
-    with pytest.raises(InvalidParameter):
-        parse_group_spec("dihedral:2")
-    with pytest.raises(InvalidParameter):
-        parse_group_spec("nonsense")
-    with pytest.raises(InvalidParameter):
-        parse_group_spec("smallgroup:16:99")
+def test_group_from_token_errors():
+    for token in ("dihedral:7", "dihedral:2", "nonsense", "smallgroup:16:99",
+                  "cyclic:0", "cyclic:abc", "dihedral:x", "smallgroup:16:q"):
+        with pytest.raises(InvalidParameter, match=token):
+            group_from_token(token)
+
+
+def test_group_from_token_canonical_name():
+    assert group_from_token(" Cyclic:07 ").name == "cyclic:7"
+    assert group_from_token("trivial").name == group_from_token("1").name == "cyclic:1"
+
+
+def test_order_limit_checked_before_building():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        group_from_token("cyclic:100000")
+    with pytest.raises(TooLarge):
+        group_from_token("dihedral:100000")
+    assert time.perf_counter() - start < 0.1
+
+
+# sha256 of (order, mult, inv, generators, words, name) as JSON; the tables
+# every witness, rank and candidate count rests on
+TABLE_DIGESTS = {
+    "cyclic:1": "4ab03c4f3e94612c8912b85c3fb640d1ebfdd1c97581b2b8b8e51b4ced97c298",
+    "cyclic:7": "39486898d96a32f5f7867cab4c4d64a9962956840e8dc6f370523a1822e1d90d",
+    "cyclic:12": "6d3d9900ea5f7a7a89993f97abcdb447de8ebb070c9c1108aad10027b8380da8",
+    "klein4": "2441282583ee9c0edd5d4c60a37d2fcbdbc48a591a5f5d60ae7e9d71e30f336a",
+    "elem_abelian_9": "fb1fcd86da65f114c3fbf147ea8d0f331e39f21bff756037add08f38571ca037",
+    "dihedral:6": "ea63a516e126c77cbccc468a95f0d1b5d425b89588ae6eb50dae97b0ff20623d",
+    "dihedral:8": "f9878e119579e27962e086496d9be08c9d2f9957f61757f35b54a7ddb9fdbb4a",
+    "dihedral:10": "a4ead49888f06b163d0081e7c807d988338962b02d9583c0237453a812f7cb4a",
+    "dihedral:12": "fe79bd761b806959601001a4c92db288cb46180931afe9321c0db684a03fb8c0",
+    "quaternion8": "1a27a44514b64fa1153453178a189e8bbdda19c47358a564710bf49d87a5d0d2",
+    "alternating4": "7eb0be2d2d49f191fc6e4117f17f1a1b4d4b7124ceb64fb2730755c69e4cadd5",
+    "heisenberg27": "d8d0a4d8a1c5d413f1b900c774ef6ff2ce9a26c23bc265216f48845b5963029e",
+    "c4_semidirect_c4": "6852c74f6d070164b332b002ca59ab01ae3bee7fe2439a44ef2dc201b8c4a0d0",
+    "smallgroup:16:3": "1846299a47b57d98c9dd1b872269735a9e81671cc2ca360437abb154bd946e4d",
+    "smallgroup:32:2": "6e8fd748afdeff5d31b61960e53785afbebe428df74d3bc788a57db6352a74fc",
+    "dihedral:4": "a72bfba43ab67505eee6c698386143fc023f384d6e448990195496bffa0a2757",
+    "trivial": "4ab03c4f3e94612c8912b85c3fb640d1ebfdd1c97581b2b8b8e51b4ced97c298",
+    "1": "4ab03c4f3e94612c8912b85c3fb640d1ebfdd1c97581b2b8b8e51b4ced97c298",
+}
+
+
+@pytest.mark.parametrize("token", ALL_TOKENS + ["dihedral:4", "trivial", "1"])
+def test_table_digest(token):
+    g = group_from_token(token)
+    blob = json.dumps([g.order, g.mult.tolist(), g.inv.tolist(), g.generators, g.words, g.name])
+    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[token]
+
+
+def test_large_cyclic_table():
+    g = group_from_token("cyclic:2000")
+    x = g.generator("x")
+    assert g.order == 2000 and g.element_order(x) == 2000
+    # element k is x^k: the table is addition mod 2000
+    k = np.arange(2000)
+    assert np.array_equal(g.mult, (k[:, None] + k) % 2000)
+    assert np.array_equal(g.inv, -k % 2000)
 
 
 def test_dihedral_means_order_n():
