@@ -84,12 +84,18 @@ class ConnectionSets:
         for key in ("m", "sets"):
             if not isinstance(data, dict) or key not in data:
                 raise InvalidParameter(f"connection sets: missing key {key!r}")
-        m = int(data["m"])
-        sets = [
-            [[g.evaluate_word(w) if isinstance(w, str) else int(w) for w in cell]
-             for cell in row]
-            for row in data["sets"]
-        ]
+        try:
+            m = int(data["m"])
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"connection sets: non-integer 'm' {data['m']!r}") from None
+        try:
+            sets = [
+                [[g.evaluate_word(w) if isinstance(w, str) else int(w) for w in cell]
+                 for cell in row]
+                for row in data["sets"]
+            ]
+        except (TypeError, ValueError):
+            raise InvalidParameter("connection sets: 'sets' is not an m x m array") from None
         return ConnectionSets.from_lists(m, sets)
 
 

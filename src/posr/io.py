@@ -37,6 +37,8 @@ def parse_edgelist(text: str) -> Digraph:
         except ValueError:
             raise InvalidParameter(f"expected integers in the {want}, got {line!r}") from None
         if n is None:
+            if values[0] < 0:
+                raise InvalidParameter(f"expected a vertex count >= 0, got {line!r}")
             n = values[0]
         else:
             arcs.append(tuple(values))

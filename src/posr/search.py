@@ -9,13 +9,11 @@ enumerator seeks a start rank by arithmetic instead of replaying.
 
 Every candidate is m-partite: its diagonal cells T_ii are empty.
 
-Oriented pruning.  A POSR search (without ``naive``) enumerates only
-oriented candidates: a choice for a lower cell (i, j), i > j, that meets
-inv(T_ji) is skipped with its whole subtree, so a non-oriented candidate is
-never built.  Ranks stay those of the full order,
-and ``candidates_examined`` is counted from them, so the skipped ranks count
-as examined and the witness, the count and the cursors are those of the
-full search.
+Pruning.  Without ``naive``, the enumerator skips a choice with its whole
+subtree when it makes the candidate non-oriented (POSR: a lower cell (i, j),
+i > j, meets inv(T_ji)) or not orbit-minimal, so a skipped candidate is
+never built.  Ranks stay those of the full order and ``candidates_examined``
+is counted from them: the skipped ranks count as examined.
 
 Orbit pruning.  For sigma in Aut(G) and h = (e, h_1, ..., h_{m-1}), the
 vertex map (i, x) -> (i, h_i sigma(x)) is an isomorphism from Cay(T) onto
@@ -23,18 +21,18 @@ Cay(T'), T'_ij = h_j sigma(T_ij) h_i^-1: the arc (i, x) -> (j, t x) goes to
 (i, y) -> (j, h_j sigma(t) h_i^-1 y) with y = h_i sigma(x).  It conjugates
 the right translation by g to the one by sigma(g), so it maps R(G) onto
 R(G), and T' has the same size matrix and is oriented, partite and regular
-iff T is; so T' is a representation iff T is.  The search sends a candidate
-to the solver only if no map of S = Aut(G) x {h with at most one h_j != e}
-gives a lexicographically smaller candidate (``OrbitFilter``).  A smaller
-image has the same size matrix, so it comes earlier in the enumeration, and
-the first representation in enumeration order is never skipped: the
-witness, ``candidates_examined`` (skipped candidates count) and the cursors
-are those of the full search.  The least candidate in the orbit of a
-representation under the group S generates is one that no map of S makes
-smaller, so ExhaustedNone over cursor windows that cover every rank proves
-nonexistence.  A window from cursor 0 is exact; ExhaustedNone of a window
-that starts later says only that none of its orbit-minimal candidates is a
-representation.  ``naive`` mode skips nothing.
+iff T is; so T' is a representation iff T is.  The walk compares each
+chosen cell with its images under the maps of S = Aut(G) x {h with at most
+one h_j != e} (``OrbitFilter``) that tie on the cells chosen before it, and
+skips the choice when an image is smaller (skip-if-not-minimal, as in
+McKay's orderly generation, 1998).  So a candidate is built only if no map
+of S gives a lexicographically smaller one.  A smaller image has the same
+size matrix, so it comes earlier in the enumeration, and the first
+representation in enumeration order is never skipped: the witness, the
+count and the cursors are those of the full search.  The least candidate
+in the orbit of a representation under the group S generates is one that
+no map of S makes smaller, so ExhaustedNone over cursor windows that cover
+every rank proves nonexistence (see ``exists_mposr`` for one window).
 
 Each remaining candidate is decided with one Cayley build and one seeded
 search pass (``autgroup.aut_is_translations``); ``naive`` mode decides it
@@ -51,8 +49,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
-from math import comb, prod
+from itertools import combinations
+from math import comb, inf, prod
+from operator import sub
 from typing import Callable, Iterator
 
 import numpy as np
@@ -107,18 +106,23 @@ def _size_layout(n: int, m: int, valency: int):
     enumeration of one (n, m, valency): per row index i, the rows it may take
     (zero at i, entries <= n, sum ``valency``) with the number of cell choices
     of each, and ``count(i, room)``, the number of candidates whose rows from
-    i on have the column sums ``room``."""
+    i on have the column sums ``room``, memoised on the sorted room of the
+    columns < i and of the columns >= i: permuting the former, or the latter
+    together with their rows, does not change it."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     every = [(r, prod(comb(n, k) for k in r)) for r in _compositions(m, valency, min(n, valency))]
     rows = [[(r, w) for r, w in every if not r[i]] for i in range(m)]
 
     @lru_cache(maxsize=None)
-    def count(i: int, room: tuple) -> int:
+    def sorted_count(i: int, room: tuple) -> int:
         if i == m:
             # every row sums to valency, so the room left is all zero
             return 1
         return sum(w * count(i + 1, rest) for r, w, rest in _fits(rows[i], room))
+
+    def count(i: int, room: tuple) -> int:
+        return sorted_count(i, (*sorted(room[:i]), *sorted(room[i:])))
 
     return rows, count
 
@@ -126,7 +130,7 @@ def _size_layout(n: int, m: int, valency: int):
 def _fits(rows: list[tuple], room: tuple) -> Iterator[tuple]:
     """(row, choices, room left) for each row that fits in ``room``."""
     for r, w in rows:
-        rest = tuple(b - a for a, b in zip(r, room))
+        rest = tuple(map(sub, room, r))
         if min(rest) >= 0:
             yield r, w, rest
 
@@ -154,13 +158,20 @@ def _size_matrices(n: int, m: int, valency: int, start: int = 0) -> Iterator[tup
     yield from rec(0, (valency,) * m, (), 0, 1)
 
 
+class _Stop(Exception):
+    """Ends the walk; args[0] is the first rank not passed."""
+
+
 def enumerate_connection_sets(
     g: GroupTable,
     m: int,
     valency: int,
     require_oriented: bool = False,
     start: int = 0,
-) -> Iterator[tuple[int, ConnectionSets]]:
+    auts: list[np.ndarray] | None = None,
+    stop: int | None = None,
+    deadline: float | None = None,
+) -> Iterator[tuple[int, ConnectionSets | None]]:
     """(rank, conn) for the m-partite connection-set systems (every T_ii
     empty) with row and column |T| sums = valency, in a fixed lexicographic
     order: size matrix, then the cells in row-major order, each cell's
@@ -168,10 +179,13 @@ def enumerate_connection_sets(
     ``rank`` is the position in that full order: the size matrix's offset
     plus the mixed-radix index of the cells' subset indices.
 
-    With ``require_oriented``, a choice for a lower cell (i, j), i > j, that
-    meets inv(T_ji) is skipped with its whole subtree: only oriented
-    candidates are built, and their ranks are those of the full order.  Ranks below ``start`` are
-    skipped by arithmetic, whole size matrices and subtrees at a time."""
+    A choice is skipped with its subtree, the candidates built keeping their
+    ranks, when: with ``require_oriented``, a lower cell (i, j), i > j,
+    meets inv(T_ji); with ``auts`` (Aut(g)), a map of ``OrbitFilter`` tied
+    on the cells before it makes the cell smaller.  Ranks below ``start``
+    are skipped by arithmetic, and the walk ends before rank ``stop``.  Past
+    ``deadline``, a ``time.monotonic`` reading checked once per choice, it
+    yields (r, None), r the first rank not passed, and ends."""
     if valency < 1:
         raise InvalidParameter("valency must be >= 1")
     n = g.order
@@ -188,6 +202,8 @@ def enumerate_connection_sets(
             masks[k] = list(map(sum, combinations(bits, k)))
             inv_masks[k] = list(map(sum, combinations(inv_bits, k)))
     cells = m * m
+    orbit = OrbitFilter(g, m, [] if auts is None else auts)
+    end = inf if stop is None else stop
 
     def walk(sizes: tuple, weight: list[int], offset: int):
         """The candidates of one size matrix from rank ``start`` on, depth
@@ -200,10 +216,6 @@ def enumerate_connection_sets(
             i, j = divmod(c, m)
             t = j * m + i
             against.append(None if not require_oriented or i < j or not sizes[t] else t)
-        # the active cells from `free` on are unconstrained
-        free = len(active)
-        while free and against[free - 1] is None:
-            free -= 1
         cur: list[tuple] = [()] * cells
         chosen = [0] * cells
         # per depth, the last (forbidden mask, allowed choices): a lower cell
@@ -211,29 +223,16 @@ def enumerate_connection_sets(
         # between them
         memo: list[tuple] = [(None, None)] * len(active)
 
-        def suffix(base: int):
-            """The subtree below the choices made so far, from the first
-            free cell on: one product over the remaining cells, in
-            consecutive ranks.  A start inside it is split into one digit
-            per cell, and the product resumes from those digits."""
-            c0 = active[free]
-            options = [(cell,) for cell in cur[:c0]] + [subsets[k] for k in sizes[c0:]]
-            skip = max(start - base, 0)
-            if skip:
-                digits = [skip // weight[c] % len(options[c]) for c in range(cells)]
-                pieces = chain.from_iterable(
-                    product(*[(o[x],) for o, x in zip(options, digits[:p])],
-                            options[p][digits[p] + (p < cells - 1):], *options[p + 1:])
-                    for p in range(cells - 1, c0 - 1, -1))
-            else:
-                pieces = product(*options)
-            for rank, flat in enumerate(pieces, base + skip):
-                yield rank, ConnectionSets(m, tuple(flat[r:r + m] for r in range(0, cells, m)))
+        # tied[d]: the maps of ``orbit`` that tie on the cells of depths < d,
+        # held for the current choices in tied[:known + 1]; None when the
+        # choice at depth d - 1 is not minimal.  A cell is tested only once
+        # a leaf below it is reached
+        tied = [orbit.maps] * (len(active) + 1)
+        known = 0
 
         def level(depth: int, base: int):
-            if depth == free:
-                yield from suffix(base)
-                return
+            """The choices for the depth-th nonempty cell, from rank ``base``."""
+            nonlocal known
             c = active[depth]
             k = sizes[c]
             w = weight[c]
@@ -249,25 +248,40 @@ def enumerate_connection_sets(
                 allowed = memo[depth][1]
                 choices = allowed[bisect_left(allowed, first):] if first else allowed
             options = subsets[k]
-            if depth == len(active) - 1:
-                for x in choices:
-                    cur[c] = options[x]
-                    yield base + x * w, ConnectionSets(
-                        m, tuple(tuple(cur[r:r + m]) for r in range(0, cells, m)))
-            else:
-                for x in choices:
-                    cur[c] = options[x]
+            for x in choices:
+                known = min(known, depth)
+                if tied[known] is None:
+                    return
+                rank = base + x * w
+                if rank >= end or deadline is not None and time.monotonic() > deadline:
+                    raise _Stop(max(rank, start))
+                cur[c] = options[x]
+                if depth < len(active) - 1:
                     chosen[c] = x
-                    yield from level(depth + 1, base + x * w)
+                    yield from level(depth + 1, rank)
+                    continue
+                while known <= depth and tied[known].shape[1]:
+                    d = active[known]
+                    known += 1
+                    tied[known] = orbit.ties(*divmod(d, m), cur[d], tied[known - 1])
+                    if tied[known] is None:
+                        break
+                else:
+                    yield rank, ConnectionSets(
+                        m, tuple(tuple(cur[r:r + m]) for r in range(0, cells, m)))
 
         # valency >= 1, so every size matrix has a nonempty cell
         yield from level(0, offset)
 
-    for sizes, offset in _size_matrices(n, m, valency, start):
-        weight = [1] * cells
-        for c in range(cells - 1, 0, -1):
-            weight[c - 1] = weight[c] * len(subsets[sizes[c]])
-        yield from walk(sizes, weight, offset)
+    try:
+        for sizes, offset in _size_matrices(n, m, valency, start):
+            weight = [1] * cells
+            for c in range(cells - 1, 0, -1):
+                weight[c - 1] = weight[c] * len(subsets[sizes[c]])
+            yield from walk(sizes, weight, offset)
+    except _Stop as halt:
+        if halt.args[0] < end:
+            yield halt.args[0], None
 
 
 def count_connection_sets(g: GroupTable, m: int, valency: int) -> int:
@@ -288,15 +302,10 @@ def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str, valency: i
 
 
 class OrbitFilter:
-    """Orbit-minimality test for the candidates of one (G, m).
-
-    The maps tested, S, are sigma in Aut(G) with h = (e, h_1, ..., h_{m-1})
-    having at most one h_j != e; each sends T to T'_ij = h_j sigma(T_ij)
-    h_i^-1.  ``keeps(conn)`` is True iff no map in S sends conn to a
-    lexicographically smaller candidate (cells in row-major order, each a
-    sorted tuple).  S is kept as index arrays and each cell's images are
-    temporaries.
-    """
+    """The maps S of the orbit-minimality test for one (G, m): sigma in
+    Aut(G) with h = (e, h_1, ..., h_{m-1}) having at most one h_j != e, each
+    sending T to T'_ij = h_j sigma(T_ij) h_i^-1.  ``maps`` holds S without
+    the identity as index arrays (sigma, part, h)."""
 
     def __init__(self, g: GroupTable, m: int, auts: list[np.ndarray]):
         self.g = g
@@ -308,13 +317,9 @@ class OrbitFilter:
         maps = np.stack([sigma, np.tile(part, len(auts)), np.tile(h, len(auts))])
         # the identity map never gives a smaller image
         identity = (self.auts == np.arange(g.order)).all(axis=1)
-        self._maps = maps[:, ~(identity[sigma] & (maps[1] == 0))]
-        # ((i, j, cell), maps that tie up to that cell, or None if one is
-        # smaller) for the nonempty leading cells of the last candidate:
-        # consecutive candidates share their leading cells
-        self._prefix: list[tuple] = []
+        self.maps = maps[:, ~(identity[sigma] & (maps[1] == 0))]
 
-    def _ties(self, i: int, j: int, cell: tuple, maps: np.ndarray) -> np.ndarray | None:
+    def ties(self, i: int, j: int, cell: tuple, maps: np.ndarray) -> np.ndarray | None:
         """The maps whose image of cell (i, j) equals it, or None if some
         map's image is smaller."""
         g = self.g
@@ -330,28 +335,6 @@ class OrbitFilter:
         if (image[np.arange(len(image)), first] < key[first]).any():
             return None
         return maps[:, ~differ.any(axis=1)]
-
-    def keeps(self, conn: ConnectionSets) -> bool:
-        """Compare the images cell by cell: the first nonempty cell under all
-        of S, the next under the maps that fix the first, and so on."""
-        maps = self._maps
-        level = 0
-        for i, row in enumerate(conn.sets):
-            for j, cell in enumerate(row):
-                if not cell:
-                    continue
-                if not maps.shape[1]:
-                    return True
-                if level < len(self._prefix) and self._prefix[level][0] == (i, j, cell):
-                    maps = self._prefix[level][1]
-                else:
-                    del self._prefix[level:]
-                    maps = self._ties(i, j, cell, maps)
-                    self._prefix.append(((i, j, cell), maps))
-                if maps is None:
-                    return False
-                level += 1
-        return True
 
 
 def exists_mposr(
@@ -371,30 +354,22 @@ def exists_mposr(
     by exhausting every partite candidate.
 
     candidates_examined counts the ranks of the full partite order in the
-    cursor window, up to the witness if one is found (including the
-    non-oriented ones, which a POSR search never builds, and the ones skipped
-    as not orbit-minimal).  ``naive`` mode enumerates and solves every
-    candidate.
-
-    Without ``naive``, a candidate reaches the solver only if it is oriented
-    (POSR) and minimal under Aut(g) x {h with at most one h_j != e} (see the
-    module docstring).  The skipped candidates are isomorphic to earlier
-    ones by maps that keep R(g), so the first witness and an ExhaustedNone
-    over the whole enumeration, or over a window that starts at cursor 0,
-    are those of the naive search.  An ExhaustedNone of a window that
-    starts later says only that none of its orbit-minimal candidates is a
-    representation; windows that together cover every cursor still prove
-    nonexistence.
+    cursor window, up to the witness if one is found, the ranks the
+    enumerator skips included.  ``naive`` mode enumerates and solves every
+    candidate.  Without it, only the oriented (POSR) and orbit-minimal
+    candidates are built and solved (see the module docstring): the first
+    witness and an ExhaustedNone over a window from cursor 0 are those of
+    the naive search; ExhaustedNone of a later window says only that none
+    of its orbit-minimal candidates is a representation, and windows that
+    together cover every cursor prove nonexistence.  Past ``time_budget``
+    seconds the search returns Aborted, with ``resume_cursor`` the first
+    rank not passed.
     """
     kind = kind.upper()
     if kind not in ("POSR", "PDR"):
         raise InvalidParameter(f"unknown kind {kind!r}")
     t0 = time.monotonic()
     total = count_connection_sets(g, m, valency)
-    minimal = None if naive else OrbitFilter(g, m, group_automorphisms(g))
-    # candidates_examined counts ranks, so the non-oriented subtrees the
-    # enumerator skips count as examined
-    prune = kind == "POSR" and not naive
     start = max(cursor_start, 0)
     stop = total if cursor_stop is None else max(start, min(total, cursor_stop))
     examined = 0
@@ -413,17 +388,17 @@ def exists_mposr(
                 })
         examined = to
 
-    for rank, conn in enumerate_connection_sets(g, m, valency, require_oriented=prune,
-                                                 start=start):
-        if rank >= stop:
-            break
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            # resume from the first rank not yet counted as examined
+    # candidates_examined counts ranks, so the subtrees the enumerator skips
+    # count as examined
+    for rank, conn in enumerate_connection_sets(
+            g, m, valency, require_oriented=kind == "POSR" and not naive, start=start,
+            auts=None if naive else group_automorphisms(g), stop=stop,
+            deadline=None if time_budget is None else t0 + time_budget):
+        if conn is None:
+            advance(rank - start)
             return SearchOutcome("Aborted", None, examined, time.monotonic() - t0,
-                                 resume_cursor=start + examined)
+                                 resume_cursor=rank)
         advance(rank - start + 1)
-        if minimal is not None and not minimal.keeps(conn):
-            continue
         if _candidate_is_rep(g, conn, kind, valency, node_budget, naive):
             verdict = verify_witness(g, conn, kind, valency, node_budget)
             if verdict is None or not verdict.is_representation:

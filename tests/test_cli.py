@@ -236,6 +236,9 @@ def test_malformed_group_token_is_usage_error(capsys, argv, named):
     ("aut", "n three\n0 1\n", "'n three'"),
     ("build", "not json\n", "not JSON"),
     ("build", '{"m": 2}\n', "'sets'"),
+    ("build", '{"m": "x", "sets": []}\n', "'m'"),
+    ("build", '{"m": 2, "sets": 5}\n', "'sets'"),
+    ("aut", "n -3\n", "'n -3'"),
 ])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import random
+import time
+from functools import lru_cache
 from itertools import combinations, islice, product, takewhile
 from math import comb, prod
 
@@ -14,7 +15,6 @@ from posr.cayley import ConnectionSets, Digraph, sets_oriented, validate_sets
 from posr.errors import InvalidParameter, WitnessRejected
 from posr.groups import group_automorphisms, group_from_token
 from posr.search import (
-    OrbitFilter,
     count_connection_sets,
     enumerate_connection_sets,
     exists_antisymmetric_kregular,
@@ -33,6 +33,32 @@ def test_enumeration_counts():
     for n in (5, 7):
         g = group_from_token(f"cyclic:{n}")
         assert count_connection_sets(g, 2, 3) == comb(n, 3) ** 2
+
+
+def _plain_count(n, m, valency=3):
+    """The number of candidates, memoised on (row, room left per column)."""
+    rows = [[r for r in product(range(min(n, valency) + 1), repeat=m)
+             if sum(r) == valency and not r[i]] for i in range(m)]
+
+    @lru_cache(maxsize=None)
+    def count(i, room):
+        if i == m:
+            return 1
+        total = 0
+        for r in rows[i]:
+            rest = tuple(b - a for a, b in zip(r, room))
+            if min(rest) >= 0:
+                total += prod(comb(n, k) for k in r) * count(i + 1, rest)
+        return total
+
+    return count(0, (valency,) * m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_count_matches_plain_memoised_count(n):
+    g = group_from_token(f"cyclic:{n}")
+    for m in range(1, 8):
+        assert count_connection_sets(g, m, 3) == _plain_count(n, m)
 
 
 def test_enumeration_matches_count_and_is_deterministic():
@@ -261,17 +287,52 @@ class _Clock:
         return self.now
 
 
+def _orbit_pruned_rank(g, m, kind, stop):
+    """The middle rank below ``stop`` that the walk skips as not
+    orbit-minimal, though it passes the oriented test of a POSR search."""
+    oriented = kind == "POSR"
+
+    def ranks(auts):
+        return [rank for rank, _ in enumerate_connection_sets(
+            g, m, 3, require_oriented=oriented, auts=auts, stop=stop)]
+
+    built = set(ranks(group_automorphisms(g)))
+    pruned = [rank for rank in ranks(None) if rank not in built]
+    return pruned[len(pruned) // 2]
+
+
 def test_abort_resumes_at_the_first_unexamined_rank(monkeypatch):
-    g = group_from_token("quaternion8")
-    whole = exists_mposr(g, 2, 3, "POSR")
+    # (start, budget) per cell; the last two runs start inside a subtree
+    # skipped as not orbit-minimal
+    cells = {
+        ("quaternion8", 2, "POSR"): ((0, 0.0), (37, 0.0), (0, 5.0), (100, 50.0)),
+        ("klein4", 3, "PDR"): ((0, 0.0), (37, 0.0), (0, 5.0)),
+    }
     monkeypatch.setattr(search, "time", _Clock())
-    for start, budget in ((0, 0.0), (37, 0.0), (0, 5.0), (100, 50.0)):
-        out = exists_mposr(g, 2, 3, "POSR", time_budget=budget, cursor_start=start)
-        assert out.status == "Aborted"
-        assert out.resume_cursor == start + out.candidates_examined
-        rest = exists_mposr(g, 2, 3, "POSR", cursor_start=out.resume_cursor)
-        assert out.candidates_examined + rest.candidates_examined == (
-            whole.candidates_examined - start)
+    for (token, m, kind), runs in cells.items():
+        g = group_from_token(token)
+        whole = exists_mposr(g, m, 3, kind)
+        inside = _orbit_pruned_rank(g, m, kind, whole.candidates_examined)
+        for start, budget in (*runs, (inside, 0.0), (inside, 3.0)):
+            out = exists_mposr(g, m, 3, kind, time_budget=budget, cursor_start=start)
+            assert out.status == "Aborted"
+            assert out.resume_cursor == start + out.candidates_examined
+            rest = exists_mposr(g, m, 3, kind, cursor_start=out.resume_cursor)
+            assert out.candidates_examined + rest.candidates_examined == (
+                whole.candidates_examined - start)
+            assert (rest.status, rest.witness) == (whole.status, whole.witness)
+
+
+@pytest.mark.parametrize("token, m", [("cyclic:2", 10), ("klein4", 9)])
+def test_time_budget_bounds_a_large_search(token, m):
+    # the count and the walk of a cell with billions of ranks stay inside
+    # the budget
+    g = group_from_token(token)
+    t0 = time.monotonic()
+    out = exists_mposr(g, m, 3, "POSR", time_budget=1)
+    assert time.monotonic() - t0 < 2
+    assert out.status == "Aborted"
+    assert out.resume_cursor == out.candidates_examined
 
 
 def test_progress_reporting():
@@ -304,20 +365,39 @@ def _brute_force_minimal(g, conn, auts):
     ("dihedral:8", 2, 1200), ("quaternion8", 2, 1200),
     ("cyclic:6", 2, None), ("cyclic:3", 3, None), ("klein4", 3, 1500),
 ])
-@pytest.mark.parametrize("shuffled", [False, True])
-def test_orbit_filter_matches_brute_force(token, m, limit, shuffled):
+@pytest.mark.parametrize("oriented", [False, True])
+def test_orbit_filter_matches_brute_force(token, m, limit, oriented):
+    # the walk with auts yields the brute-force-minimal (and, with the
+    # oriented test, oriented) subsequence of the full order, from cursor 0
+    # and from starts inside pruned subtrees
     g = group_from_token(token)
     auts = group_automorphisms(g)
-    conns = [conn for _, conn in enumerate_connection_sets(g, m, 3)][:limit]
-    truth = [_brute_force_minimal(g, c, auts) for c in conns]
-    assert 0 < sum(truth) < len(conns)
-    # in enumeration order, where consecutive candidates share leading cells,
-    # or shuffled, where the cached prefix keeps changing
-    order = list(range(len(conns)))
-    if shuffled:
-        random.Random(5).shuffle(order)
-    test = OrbitFilter(g, m, auts)
-    assert [test.keeps(conns[k]) for k in order] == [truth[k] for k in order]
+    full = list(enumerate(_product_order(g, m)))[:limit]
+    stop = len(full)
+    truth = [(rank, conn) for rank, conn in full
+             if (not oriented or sets_oriented(g, conn)) and _brute_force_minimal(g, conn, auts)]
+    assert 0 < len(truth) < len(full)
+
+    def walk(start):
+        return list(enumerate_connection_sets(g, m, 3, require_oriented=oriented, start=start,
+                                              auts=auts, stop=stop))
+
+    assert walk(0) == truth
+    kept = {rank for rank, _ in truth}
+    pruned = [rank for rank in range(stop) if rank not in kept]
+    for start in [*pruned[::len(pruned) // 8 + 1], *sorted(kept)[::len(kept) // 4 + 1]]:
+        assert walk(start) == [pair for pair in truth if pair[0] >= start]
+
+
+def test_walk_builds_only_orbit_minimal_candidates():
+    # before the first quaternion8 4-POSR (rank 9,836,121) 313,602
+    # candidates are oriented and 415 of them orbit-minimal: only those 415
+    # are built
+    g = group_from_token("quaternion8")
+    minimal = list(enumerate_connection_sets(g, 4, 3, require_oriented=True,
+                                             auts=group_automorphisms(g), stop=9_836_122))
+    assert len(minimal) == 415
+    assert minimal[-1][0] == 9_836_121
 
 
 @pytest.mark.parametrize("token, status, examined, witness", [
@@ -372,9 +452,9 @@ def _seeded_pass_refines(monkeypatch, token, m):
 def test_seeded_pass_work_pinned(monkeypatch, token, m, status, refines):
     # the seeded one-pass check never records a generator, so the orbit
     # pruning below depth 0 costs it nothing: its refinement calls over a
-    # whole search are pinned.  Here every candidate that passes the
-    # oriented filter reaches the solver.
-    monkeypatch.setattr(OrbitFilter, "keeps", lambda self, conn: True)
+    # whole search are pinned.  Here no map is tested, so every candidate
+    # that passes the oriented filter reaches the solver.
+    monkeypatch.setattr(search, "group_automorphisms", lambda g: [])
     assert _seeded_pass_refines(monkeypatch, token, m) == (status, refines)
 
 
