@@ -3,9 +3,13 @@
 The solver is classic individualization-refinement: refine a uniform
 coloring to its coarsest equitable refinement, branch on the first smallest
 non-singleton color class, and compare each discrete leaf against the first
-one.  The initial coloring is always uniform: part information is never
-seeded as colors, the solver has to rediscover that automorphisms preserve
-parts.
+one.  A node's coloring is equitable, so a child, the node's coloring with
+one vertex moved to the new color ``num_colors``, is refined from that
+singleton only (``kernels.refine_partition`` with ``splitters``); the
+numbering is still a function of the digraph and the coloring, so leaves
+and node invariants compare across branches.  The initial coloring is
+always uniform: part information is never seeded as colors, the solver has
+to rediscover that automorphisms preserve parts.
 
 Every node of the first path prunes its children by known orbits (McKay
 1981): a child in the orbit of an explored sibling is skipped.  Search is
@@ -198,7 +202,7 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
             if orbits.find(v) in roots:
                 continue
         child = kernels.refine_partition(
-            state.d.n, *state.d.csr(), _individualize(colors, num_colors, v)
+            state.d.n, *state.d.csr(), _individualize(colors, num_colors, v), [num_colors]
         )
         if _search(state, child, int(child.max()) + 1, depth + 1):
             return True

@@ -84,19 +84,28 @@ class ConnectionSets:
         for key in ("m", "sets"):
             if not isinstance(data, dict) or key not in data:
                 raise InvalidParameter(f"connection sets: missing key {key!r}")
+        m = data["m"]
+        if not _is_json_int(m):
+            raise InvalidParameter(f"connection sets: non-integer 'm' {m!r}")
         try:
-            m = int(data["m"])
-        except (TypeError, ValueError):
-            raise InvalidParameter(f"connection sets: non-integer 'm' {data['m']!r}") from None
-        try:
-            sets = [
-                [[g.evaluate_word(w) if isinstance(w, str) else int(w) for w in cell]
-                 for cell in row]
-                for row in data["sets"]
-            ]
-        except (TypeError, ValueError):
+            sets = [[[_element(g, w) for w in cell] for cell in row] for row in data["sets"]]
+        except TypeError:
             raise InvalidParameter("connection sets: 'sets' is not an m x m array") from None
         return ConnectionSets.from_lists(m, sets)
+
+
+def _is_json_int(x) -> bool:
+    # JSON true/false parse as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _element(g: GroupTable, w) -> int:
+    """A connection-set element of a JSON file: a word or an integer index."""
+    if isinstance(w, str):
+        return g.evaluate_word(w)
+    if not _is_json_int(w):
+        raise InvalidParameter(f"connection sets: element {w!r} is neither an integer nor a word")
+    return w
 
 
 class Digraph:

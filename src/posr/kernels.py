@@ -1,13 +1,17 @@
 """The hot kernels, all interpreted.
 
 ``refine_partition`` is the equitable refinement of the automorphism
-solver, vectorised with numpy.  ``has_nontrivial_automorphism`` and
-``regular_digraph_search`` decide the rigid k-regular digraph claims: plain
-recursive Python over int bitmasks, one per vertex's out-set.
+solver: a splitter-queue refinement (McKay 1981; Paige & Tarjan 1987) in
+plain Python, which recounts only the arcs at the cell it refines from, so
+refining an individualized vertex costs about the arcs it reaches.
+``has_nontrivial_automorphism`` and ``regular_digraph_search`` decide the
+rigid k-regular digraph claims: plain recursive Python over int bitmasks,
+one per vertex's out-set.
 """
 
 import math
 import time
+from collections import deque
 from itertools import combinations, islice
 
 import numpy as np
@@ -17,50 +21,108 @@ import numpy as np
 BACKEND = "fallback"
 
 
-def refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
+def refine_partition(n, out_flat, out_off, in_flat, in_off, colors0, splitters=None):
     """Coarsest equitable refinement of a coloring, canonically numbered.
 
-    Each pass ranks the vertices by (current color, out-neighbor counts per
-    color, in-neighbor counts per color) and renumbers densely; the loop
-    stops when the class count is stable.  The numbering therefore depends
-    only on the digraph and the order of the input colors.
+    The input colors are first renumbered densely, keeping their order.  A
+    FIFO queue of splitter colors starts with
+    ``splitters``, or with every color when it is None.  Refining from a
+    splitter S gives each vertex with an arc to or from S the key
+    out-count + (n+1) * in-count (its out-neighbors in S, its in-neighbors
+    in S); every other vertex has key 0.  Each touched cell of two or more
+    vertices is split, in increasing color order, into its fragments of
+    equal key: the fragment with the smallest key keeps the cell's color,
+    and the others take the next free colors in increasing key order.  If
+    the cell was queued, every new fragment is queued; if not, every
+    fragment but the largest (the first in key order among equals), since
+    counts into it follow from those into the others.  Refinement stops when
+    the queue is empty or every cell is a singleton.
 
-    A vertex's count vector has 2k entries but at most deg(v) nonzero ones,
-    so it is held as the multiset of its arc-ends' slots: slot c for an
-    out-neighbor of color c, k + c for an in-neighbor.  Slot s is stored as
-    2k - s and each row is sorted ascending, with 0s padding the rows of
-    low-degree vertices.  Read from the right, two rows then compare exactly
-    like the count vectors, because the first slot where two count vectors
-    differ is the smallest slot that one vertex holds more often.  The
-    int32 table is n x (max degree + 1), with the color in the last column.
+    The numbering therefore depends only on the digraph and the input
+    colors, never on vertex labels: relabelling the digraph and the coloring
+    by a permutation relabels the result by the same permutation.
+
+    Precondition on ``splitters``: every cell not listed must already have
+    equal counts into it from each cell's vertices, or be what remains of
+    such a cell once listed cells were taken out of it.  An equitable
+    coloring with one vertex moved to the new color k meets it with
+    ``splitters=[k]``, and then gives the same partition as a full call.
     """
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    colors = np.asarray(colors0, dtype=np.int64)
-    classes = np.count_nonzero(np.bincount(colors))
-    out_deg, in_deg = np.diff(out_off), np.diff(in_off)
-    length = int((out_deg + in_deg).max())
-    # arc-end j of vertex v fills row v, column j: out-neighbors, then in-neighbors
-    out_src = np.repeat(np.arange(n), out_deg)
-    in_src = np.repeat(np.arange(n), in_deg)
-    rows = np.concatenate((out_src, in_src))
-    cols = np.concatenate((np.arange(len(out_flat)) - out_off[out_src],
-                           out_deg[in_src] + np.arange(len(in_flat)) - in_off[in_src]))
-    while True:
-        k = int(colors.max()) + 1
-        sig = np.zeros((n, length + 1), dtype=np.int32)
-        sig[rows, cols] = np.concatenate((2 * k - colors[out_flat], k - colors[in_flat]))
-        sig[:, :length].sort(axis=1)
-        sig[:, length] = colors
-        order = np.lexsort(sig.T)  # last column is the primary key
-        ranked = sig[order]
-        new_colors = np.empty(n, dtype=np.int64)
-        new_colors[order[0]] = 0
-        new_colors[order[1:]] = np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))
-        new_classes = int(new_colors[order[-1]]) + 1
-        if new_classes == classes:
-            return new_colors
-        colors, classes = new_colors, new_classes
+    color = np.asarray(colors0).tolist()
+    cells = [set() for _ in range(max(color) + 1)]
+    for v, c in enumerate(color):
+        cells[c].add(v)
+    if not all(cells):
+        # unused color numbers: close the gaps, keeping the colors' order
+        renumber = {}
+        for c, cell in enumerate(cells):
+            if cell:
+                renumber[c] = len(renumber)
+        color = [renumber[c] for c in color]
+        cells = [cell for cell in cells if cell]
+        if splitters is not None:
+            splitters = [renumber[c] for c in splitters]
+    outs, ins = out_flat.tolist(), in_flat.tolist()
+    out_off, in_off = out_off.tolist(), in_off.tolist()
+    queue = deque(range(len(cells)) if splitters is None else splitters)
+    queued = [False] * len(cells)
+    for s in queue:
+        queued[s] = True
+    key = [0] * n
+    n1 = n + 1
+    while queue and len(cells) < n:
+        s = queue.popleft()
+        queued[s] = False
+        touched = []
+        for v in cells[s]:
+            # v in S is an out-neighbor of each w in its in-list
+            for w in ins[in_off[v]:in_off[v + 1]]:
+                if not key[w]:
+                    touched.append(w)
+                key[w] += 1
+            for w in outs[out_off[v]:out_off[v + 1]]:
+                if not key[w]:
+                    touched.append(w)
+                key[w] += n1
+        by_cell = {}
+        for w in touched:
+            by_cell.setdefault(color[w], []).append(w)
+        for c in sorted(by_cell):
+            cell, hit = cells[c], by_cell[c]
+            if len(cell) == 1:
+                continue
+            fragments = {}
+            for w in hit:
+                fragments.setdefault(key[w], []).append(w)
+            keys = sorted(fragments)
+            if len(hit) < len(cell):
+                # the untouched vertices have the smallest key, 0; taking the
+                # others out costs only what the splitter touched
+                cell.difference_update(hit)
+            elif len(keys) == 1:
+                continue
+            else:
+                cells[c] = set(fragments[keys.pop(0)])
+            parts = [fragments[k] for k in keys]
+            ids = [c, *range(len(cells), len(cells) + len(parts))]
+            sizes = [len(cells[c]), *map(len, parts)]
+            for f, part in zip(ids[1:], parts):
+                for v in part:
+                    color[v] = f
+                cells.append(set(part))
+                queued.append(False)
+            if not queued[c]:
+                # counts into the largest fragment follow from those into the others
+                del ids[sizes.index(max(sizes))]
+            for f in ids:
+                if not queued[f]:
+                    queue.append(f)
+                    queued[f] = True
+        for w in touched:
+            key[w] = 0
+    return np.array(color, dtype=np.int64)
 
 
 def has_nontrivial_automorphism(n, out_mask):

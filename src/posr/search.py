@@ -15,6 +15,14 @@ i > j, meets inv(T_ji)) or not orbit-minimal, so a skipped candidate is
 never built.  Ranks stay those of the full order and ``candidates_examined``
 is counted from them: the skipped ranks count as examined.
 
+Whole size matrices are skipped as well, by their offset, when they hold
+no representation.  Under POSR, one with |T_ij| + |T_ji| > |G| for some
+i < j holds no oriented candidate.  When |G| >= 2, one whose support (i - j
+when T_ij or T_ji is nonempty) is disconnected holds none either: the parts
+of each component of the support are a union of components of the digraph,
+so a nontrivial right translation on one of them, the identity elsewhere,
+is an automorphism outside R(G).
+
 Orbit pruning.  For sigma in Aut(G) and h = (e, h_1, ..., h_{m-1}), the
 vertex map (i, x) -> (i, h_i sigma(x)) is an isomorphism from Cay(T) onto
 Cay(T'), T'_ij = h_j sigma(T_ij) h_i^-1: the arc (i, x) -> (j, t x) goes to
@@ -158,6 +166,26 @@ def _size_matrices(n: int, m: int, valency: int, start: int = 0) -> Iterator[tup
     yield from rec(0, (valency,) * m, (), 0, 1)
 
 
+def _orientable(sizes: tuple, m: int, n: int) -> bool:
+    """False when some |T_ij| + |T_ji| > n: then T_ij meets inv(T_ji)."""
+    return all(sizes[i * m + j] + sizes[j * m + i] <= n
+               for i in range(m) for j in range(i + 1, m))
+
+
+def _connected(sizes: tuple, m: int) -> bool:
+    """Whether the support of a size matrix, i - j when |T_ij| + |T_ji| > 0,
+    is connected."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(m):
+            if j not in seen and (sizes[i * m + j] or sizes[j * m + i]):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == m
+
+
 class _Stop(Exception):
     """Ends the walk; args[0] is the first rank not passed."""
 
@@ -169,6 +197,7 @@ def enumerate_connection_sets(
     require_oriented: bool = False,
     start: int = 0,
     auts: list[np.ndarray] | None = None,
+    require_connected: bool = False,
     stop: int | None = None,
     deadline: float | None = None,
 ) -> Iterator[tuple[int, ConnectionSets | None]]:
@@ -182,10 +211,14 @@ def enumerate_connection_sets(
     A choice is skipped with its subtree, the candidates built keeping their
     ranks, when: with ``require_oriented``, a lower cell (i, j), i > j,
     meets inv(T_ji); with ``auts`` (Aut(g)), a map of ``OrbitFilter`` tied
-    on the cells before it makes the cell smaller.  Ranks below ``start``
-    are skipped by arithmetic, and the walk ends before rank ``stop``.  Past
-    ``deadline``, a ``time.monotonic`` reading checked once per choice, it
-    yields (r, None), r the first rank not passed, and ends."""
+    on the cells before it makes the cell smaller.  A whole size matrix is
+    skipped by its offset when it holds no candidate the search wants: with
+    ``require_oriented``, one with |T_ij| + |T_ji| > |G| for some i < j;
+    with ``require_connected``, one whose support is disconnected.  Ranks
+    below ``start`` are skipped by arithmetic, and the walk ends before rank
+    ``stop``.  Past ``deadline``, a ``time.monotonic`` reading checked once
+    per choice and once per skipped size matrix, it yields (r, None), r the
+    first rank not passed, and ends."""
     if valency < 1:
         raise InvalidParameter("valency must be >= 1")
     n = g.order
@@ -275,6 +308,13 @@ def enumerate_connection_sets(
 
     try:
         for sizes, offset in _size_matrices(n, m, valency, start):
+            if offset >= end:
+                return
+            if (require_oriented and not _orientable(sizes, m, n)
+                    or require_connected and not _connected(sizes, m)):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _Stop(max(offset, start))
+                continue
             weight = [1] * cells
             for c in range(cells - 1, 0, -1):
                 weight[c - 1] = weight[c] * len(subsets[sizes[c]])
@@ -393,6 +433,7 @@ def exists_mposr(
     for rank, conn in enumerate_connection_sets(
             g, m, valency, require_oriented=kind == "POSR" and not naive, start=start,
             auts=None if naive else group_automorphisms(g), stop=stop,
+            require_connected=not naive and g.order >= 2,
             deadline=None if time_budget is None else t0 + time_budget):
         if conn is None:
             advance(rank - start)

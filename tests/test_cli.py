@@ -238,6 +238,12 @@ def test_malformed_group_token_is_usage_error(capsys, argv, named):
     ("build", '{"m": 2}\n', "'sets'"),
     ("build", '{"m": "x", "sets": []}\n', "'m'"),
     ("build", '{"m": 2, "sets": 5}\n', "'sets'"),
+    ("build", '{"m": 2.9, "sets": [[[], [1, 2, 4]], [[3, 5, 6], []]]}\n', "'m' 2.9"),
+    ("build", '{"m": true, "sets": [[[1]]]}\n', "'m' True"),
+    ("build", '{"m": "2", "sets": [[[], [1, 2, 4]], [[3, 5, 6], []]]}\n', "'m' '2'"),
+    ("build", '{"m": 2, "sets": [[[], [1.5, 2, 4]], [[3, 5, 6], []]]}\n', "element 1.5"),
+    ("build", '{"m": 2, "sets": [[[], [true, 2, 4]], [[3, 5, 6], []]]}\n', "element True"),
+    ("build", '{"m": 2, "sets": [[[], [null, 2, 4]], [[3, 5, 6], []]]}\n', "element None"),
     ("aut", "n -3\n", "'n -3'"),
 ])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, named):

@@ -1,5 +1,6 @@
-"""Kernels: the numpy refinement must match its reference loop, the
-rigidity test must agree with the brute-force automorphism oracle, and the
+"""Kernels: the splitter-queue refinement must give its reference loop's
+partition, numbered independently of vertex labels, the rigidity test must
+agree with the brute-force automorphism oracle, and the
 regular-digraph search keeps its pinned node counts and witnesses."""
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from posr import kernels
 from posr.autgroup import Coloring
 from posr.cayley import Digraph
 
-from oracles import brute_force_automorphisms, is_equitable
+from oracles import brute_force_automorphisms, is_equitable, relabel
 
 
 def random_digraph(rng, n, density):
@@ -22,8 +23,8 @@ def random_digraph(rng, n, density):
 
 
 def reference_refine_partition(n, out_flat, out_off, in_flat, in_off, colors0):
-    """The interpreted refinement loop that numpy's ``refine_partition``
-    replaced, kept verbatim as its oracle."""
+    """An interpreted refinement loop that recounts every vertex against
+    every color on each pass, kept as the oracle of ``refine_partition``."""
     colors = colors0.astype(np.int64).copy()
     order = np.empty(n, dtype=np.int64)
     new_colors = np.empty(n, dtype=np.int64)
@@ -91,11 +92,46 @@ def random_coloring(rng, n):
     return np.unique(raw, return_inverse=True)[1].reshape(-1).astype(np.int64)
 
 
-def assert_refines_like_reference(d, colors):
-    got = kernels.refine_partition(d.n, *d.csr(), colors)
-    want = reference_refine_partition(d.n, *d.csr(), colors)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+def same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def refine(d, colors, splitters=None):
+    got = kernels.refine_partition(d.n, *d.csr(), colors, splitters)
+    assert got.dtype == np.int64
     assert is_equitable(d, Coloring(got, int(got.max()) + 1))
+    return got
+
+
+def assert_relabelling_invariant(rng, d, colors, splitters, got):
+    # refine(pi(d), pi(c)) == pi(refine(d, c)), where vertex u becomes perm[u]
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    moved = np.empty_like(colors)
+    moved[perm] = colors
+    want = np.empty_like(got)
+    want[perm] = got
+    assert np.array_equal(refine(relabel(d, perm), moved, splitters), want)
+
+
+def assert_refines_like_reference(rng, d, colors):
+    """The reference's partition, relabelling-invariant numbering, and from
+    the result with one vertex individualized, a call that refines from the
+    new color only gives the full call's partition."""
+    got = refine(d, colors)
+    assert same_partition(got, reference_refine_partition(d.n, *d.csr(), colors))
+    assert_relabelling_invariant(rng, d, colors, None, got)
+    k = int(got.max()) + 1
+    shared = [v for v in range(d.n) if np.count_nonzero(got == got[v]) > 1]
+    if not shared:
+        return
+    individualized = got.copy()
+    individualized[rng.choice(shared)] = k
+    one = refine(d, individualized, [k])
+    assert same_partition(one, refine(d, individualized))
+    assert same_partition(one, reference_refine_partition(d.n, *d.csr(), individualized))
+    assert_relabelling_invariant(rng, d, individualized, [k], one)
 
 
 def test_refine_matches_reference_on_random_digraphs():
@@ -103,17 +139,18 @@ def test_refine_matches_reference_on_random_digraphs():
     for _ in range(150):
         n = rng.randint(1, 40)
         d = random_digraph(rng, n, 0.4 * rng.random())
-        assert_refines_like_reference(d, np.zeros(n, dtype=np.int64))
-        assert_refines_like_reference(d, random_coloring(rng, n))
+        assert_refines_like_reference(rng, d, np.zeros(n, dtype=np.int64))
+        assert_refines_like_reference(rng, d, random_coloring(rng, n))
 
 
 def test_refine_matches_reference_on_directed_cycles():
+    rng = random.Random(13)
     for n in (1, 2, 7, 40, 150):
         d = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
-        assert_refines_like_reference(d, np.zeros(n, dtype=np.int64))
+        assert_refines_like_reference(rng, d, np.zeros(n, dtype=np.int64))
         individualized = np.zeros(n, dtype=np.int64)
         individualized[n // 2] = 1 if n > 1 else 0
-        assert_refines_like_reference(d, individualized)
+        assert_refines_like_reference(rng, d, individualized)
 
 
 def test_refine_skipped_colors():

@@ -323,10 +323,10 @@ def test_abort_resumes_at_the_first_unexamined_rank(monkeypatch):
             assert (rest.status, rest.witness) == (whole.status, whole.witness)
 
 
-@pytest.mark.parametrize("token, m", [("cyclic:2", 10), ("klein4", 9)])
+@pytest.mark.parametrize("token, m", [("cyclic:2", 10), ("cyclic:2", 11)])
 def test_time_budget_bounds_a_large_search(token, m):
     # the count and the walk of a cell with billions of ranks stay inside
-    # the budget
+    # the budget; neither cell finds its first witness within it
     g = group_from_token(token)
     t0 = time.monotonic()
     out = exists_mposr(g, m, 3, "POSR", time_budget=1)
@@ -398,6 +398,43 @@ def test_walk_builds_only_orbit_minimal_candidates():
                                              auts=group_automorphisms(g), stop=9_836_122))
     assert len(minimal) == 415
     assert minimal[-1][0] == 9_836_121
+
+
+def _matrices_without_representation(g, m, kind):
+    """(first rank, end rank, disconnected) of each size matrix whose
+    support is disconnected or, for POSR, that has |T_ij| + |T_ji| > |G|."""
+    layout = list(search._size_matrices(g.order, m, 3))
+    ends = [offset for _, offset in layout[1:]] + [count_connection_sets(g, m, 3)]
+    out = []
+    for (sizes, offset), end in zip(layout, ends):
+        both = np.array(sizes).reshape(m, m)
+        both = both + both.T
+        reach = {0}
+        for _ in range(m):
+            reach |= {int(j) for i in reach for j in np.nonzero(both[i])[0]}
+        disconnected = len(reach) < m
+        if disconnected or kind == "POSR" and (both > g.order).any():
+            out.append((offset, end, disconnected))
+    return out
+
+
+@pytest.mark.parametrize("token, kind, matrices, disconnected_ranks", [
+    ("cyclic:3", "PDR", 3, 3), ("klein4", "PDR", 3, 768), ("cyclic:2", "POSR", 54, 0),
+])
+def test_skipped_size_matrices_hold_no_representation(token, kind, matrices, disconnected_ranks):
+    # the default search skips these matrices whole; the naive search,
+    # which checks every candidate from scratch, finds no representation in
+    # them
+    g = group_from_token(token)
+    skipped = _matrices_without_representation(g, 4, kind)
+    assert len(skipped) == matrices
+    assert sum(end - lo for lo, end, disconnected in skipped if disconnected) == disconnected_ranks
+    for lo, end, _ in skipped:
+        naive = exists_mposr(g, 4, 3, kind, naive=True, cursor_start=lo, cursor_stop=end)
+        assert (naive.status, naive.candidates_examined) == ("ExhaustedNone", end - lo)
+        assert list(enumerate_connection_sets(
+            g, 4, 3, require_oriented=kind == "POSR", start=lo, auts=group_automorphisms(g),
+            stop=end, require_connected=True)) == []
 
 
 @pytest.mark.parametrize("token, status, examined, witness", [
