@@ -19,10 +19,12 @@ orbits are valid there.  At depth 0 the prefix is empty, so orbits of a
 known subgroup may be seeded too.
 
 ``automorphism_group`` searches from scratch and takes exact group orders
-from a deterministic Schreier-Sims stabilizer chain over the generators it
-returns, which tests each Schreier generator once.  It checks that order
-against a second one, the product over the first path of each individualized
-vertex's orbit size under the generators that fix the vertices before it.
+from a deterministic Schreier-Sims stabilizer chain, built from all the
+generators it returns in one call: each level's Schreier generators are
+formed and sifted as numpy blocks, and each is tested once.  It checks that
+order against a second one, the product over the first path of each
+individualized vertex's orbit size under the generators that fix the
+vertices before it; that product never stops or shortens the chain.
 ``aut_is_translations`` decides whether a Cayley digraph is a representation
 with one pass instead: it seeds the known orbits of the right translations
 R(G) (the parts) into the depth-0 orbit pruning and stops at the first
@@ -31,6 +33,7 @@ automorphism found, which necessarily lies outside R(G).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import prod
 
@@ -136,13 +139,9 @@ def _class_sizes(colors: np.ndarray, num_colors: int) -> tuple:
     return tuple(np.bincount(colors, minlength=num_colors).tolist())
 
 
-def _target_cell(colors: np.ndarray, num_colors: int) -> int:
-    sizes = np.bincount(colors, minlength=num_colors)
-    best = -1
-    for c in range(num_colors):
-        if sizes[c] >= 2 and (best < 0 or sizes[c] < sizes[best]):
-            best = c
-    return best
+def _target_cell(sizes: tuple) -> int:
+    """The first smallest class of size >= 2: ties go to the lowest color."""
+    return min((size, c) for c, size in enumerate(sizes) if size >= 2)[1]
 
 
 def _individualize(colors: np.ndarray, num_colors: int, v: int) -> np.ndarray:
@@ -163,7 +162,8 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
     state.nodes += 1
     if state.nodes > state.budget:
         raise BudgetExceeded(f"automorphism search exceeded {state.budget} nodes")
-    inv = (num_colors, _class_sizes(colors, num_colors))
+    sizes = _class_sizes(colors, num_colors)
+    inv = (num_colors, sizes)
     if state.first_leaf is None:
         state.trace[depth] = inv
     elif state.trace.get(depth) != inv:
@@ -184,7 +184,7 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
                 return True
             state._record(perm)
         return False
-    cell = _target_cell(colors, num_colors)
+    cell = _target_cell(sizes)
     members = np.nonzero(colors == cell)[0].tolist()
     on_first_path = state.first_leaf is None
     gens_before = len(state.gens)
@@ -231,8 +231,7 @@ def automorphism_group(
     root = equitable_refine(d, Coloring.uniform(d.n))
     _search(state, root.color, root.num_colors, 0)
     chain = StabilizerChain(d.n)
-    for g in state.gens:
-        chain.add_generator(g)
+    chain.add_generator(*state.gens)
     order = chain.order()
     if prod(state.orbit_sizes) != order:
         raise GroupOrderMismatch(
@@ -301,111 +300,229 @@ def aut_is_translations(pd: PartitionedDigraph,
 # Schreier-Sims
 # ---------------------------------------------------------------------------
 
-class StabilizerChain:
-    """Deterministic incremental Schreier-Sims (Sims 1970) with base points
-    in ascending vertex order restricted to non-fixed points.
+# the most entries in one block of Schreier generators, which bounds the
+# temporaries of forming and sifting it
+_BLOCK_ENTRIES = 1 << 14
 
-    Each Schreier generator is sifted once.  Transversal representatives are
-    never replaced and generator lists only grow, so a (level, point,
-    generator) triple always names the same Schreier generator; once it has
-    sifted through the deeper levels it stays in their group, which only
-    grows.  Each level therefore counts, per orbit point, how many of its
-    generators that point has been tested against, and a return to the level
-    tests only the new pairs."""
+
+def _after(table: np.ndarray, which: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Row r is ``perms[r]``, then ``table[which[r]]``: one flat take.
+    ``perms``, a temporary of the caller's, becomes the flat index."""
+    perms += (which * table.shape[1])[:, None]
+    return table.reshape(-1).take(perms)
+
+
+class _Level:
+    """One level b of the chain: the generators of the pointwise stabilizer
+    of 0..b-1 known so far, the orbit of b under them and its transversal.
+    The position row and the representatives exist only once the orbit is
+    nontrivial."""
+
+    __slots__ = ("gens", "stack", "points", "index", "closed", "pending", "pos", "reps",
+                 "invs")
+
+    def __init__(self, b: int):
+        self.gens: list[int] = []  # indices into the chain's generator store
+        # the generators, one per row, stacked once the level has pending pairs
+        self.stack: np.ndarray = np.empty((0, 0))
+        self.points = [b]  # the orbit, in the order its points entered
+        self.index = {b: 0}  # point -> its position in ``points``
+        self.closed = 0  # the orbit is closed under gens[:closed]
+        # the untested pairs whose Schreier generator is still to be formed,
+        # in the order they were met: (positions in ``points``, positions in
+        # ``gens``)
+        self.pending: tuple[list[int], list[int]] = ([], [])
+        self.pos: np.ndarray | None = None  # point -> position, -1 outside the orbit
+        self.reps: np.ndarray | None = None  # representative of each point, one per row
+        self.invs: np.ndarray | None = None  # and its inverse
+
+
+class StabilizerChain:
+    """Deterministic Schreier-Sims (Sims 1970) with base points in ascending
+    vertex order restricted to non-fixed points.
+
+    ``add_generator(*perms)`` sifts the permutations as one block, adds
+    every residue that is not the identity, then closes the chain once, a
+    level at a time from the deepest level it touched up to level 0.  A
+    visit to a level does three things (Seress 2003, §4.2):
+
+    1. It extends the orbit breadth first over the new (point, generator)
+       pairs, in Python ints.  A new point's representative is its tree
+       generator after its parent's.
+    2. Every new pair that is not a tree edge becomes one row of a block,
+       the Schreier generator ``inv[img][g[rep[pt]]]``.  A tree edge gives
+       the identity, and so does the base point under a generator that
+       fixes it (that generator is one of the next level's), so neither is
+       formed.
+    3. The rows are sifted together through the deeper levels, one
+       vectorised step per level, in blocks of at most ``_BLOCK_ENTRIES``
+       entries.
+
+    When rows fail, only the first failing residue in row order is added,
+    to the levels below this one down to its first moved point; the pairs
+    up to that row count as tested, the rest stay pending, and closing
+    restarts at that point's level.  Adding every failing residue instead
+    adds many redundant generators.  Representatives are never replaced and
+    generator lists only grow, so a pair always names the same Schreier
+    generator; one that sifted to the identity lies in the deeper levels'
+    group, which only grows, so it stays tested and is never formed again.
+    """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.identity = np.arange(degree, dtype=np.int64)
-        # base is the full ascending vertex sequence 0..degree-1; levels whose
-        # stabilizer fixes the point keep a singleton transversal and are
-        # omitted from base()
-        self.gens: list[list[np.ndarray]] = [[] for _ in range(degree)]
-        self.transversals: list[dict[int, np.ndarray]] = [
-            {b: self.identity} for b in range(degree)
-        ]
-        # the inverse of each transversal representative, stored on entry
-        self.inverses: list[dict[int, np.ndarray]] = [
-            {b: self.identity} for b in range(degree)
-        ]
-        # per level, the orbit points in the order they entered the
-        # transversal, and how many of the level's generators each has met
-        self.points: list[list[int]] = [[b] for b in range(degree)]
-        self.tested: list[list[int]] = [[0] for _ in range(degree)]
+        # int32, the width of the stored inverses (see ``_extend_orbit``)
+        self.identity = np.arange(degree, dtype=np.int32)
+        self.perms: list[np.ndarray] = []  # the generator store
+        self.lists: list[list[int]] = []  # the same as Python lists
+        self.levels: list[_Level | None] = [None] * degree
+        self.bases: list[int] = []  # the levels with a nontrivial orbit, ascending
 
     def base(self) -> list[int]:
-        return [b for b in range(self.degree) if len(self.transversals[b]) > 1]
+        return list(self.bases)
 
     def order(self) -> int:
-        n = 1
-        for t in self.transversals:
-            n *= len(t)
-        return n
+        return prod(len(lv.points) for lv in self.levels if lv is not None)
 
-    def sift(self, perm: np.ndarray, start: int = 0):
-        """Reduce ``perm`` through the chain; returns (residue, level)."""
-        p = perm
-        b = start
-        identity = self.identity
-        while b < self.degree:
-            # a level whose point p fixes has the identity as representative;
-            # argmax is the first moved point, or 0 when p fixes all of b..
-            b += int((p[b:] != identity[b:]).argmax())
-            img = int(p[b])
-            if img == b:
-                break
-            rep_inv = self.inverses[b].get(img)
-            if rep_inv is None:
-                return p, b
-            p = rep_inv[p]  # rep^-1 applied after p
-            b += 1
-        return p, self.degree
+    def sift(self, perms: np.ndarray, start: int = 0):
+        """Reduce a permutation, or a block of them one per row, that fixes
+        0..start-1 through the levels from ``start`` on; returns (residue,
+        level) of the same shape: the level is the residue's first moved
+        point, or the degree when the residue is the identity, i.e. the
+        permutation is in the group.
 
-    def add_generator(self, perm: np.ndarray) -> None:
-        perm = np.asarray(perm, dtype=np.int64)
-        residue, level = self.sift(perm)
-        if level == self.degree:
-            return  # residue fixes every base point, hence is the identity
-        # the residue fixes 0..level-1, so it generates at every level <= level
-        for b in range(level + 1):
-            self.gens[b].append(residue)
-        self._close(level)
+        One step per nontrivial level b reduces, together, the rows that
+        move b to a point of its orbit.  A row that moves b outside the
+        orbit, or moves a point whose level is trivial, is not in the group:
+        it keeps that point moved through the later steps, which fix every
+        point before theirs, so its residue is outside the group too."""
+        rows = np.array(perms, dtype=np.int64, ndmin=2)  # a copy, reduced in place
+        bases = self.bases
+        for b in bases[bisect_left(bases, start):]:
+            img = rows[:, b]
+            moving = (img != b).nonzero()[0]
+            if not len(moving):
+                continue
+            lv = self.levels[b]
+            pos = lv.pos[img[moving]]
+            inside = pos >= 0
+            if not inside.all():
+                moving, pos = moving[inside], pos[inside]
+            rows[moving] = _after(lv.invs, pos, rows[moving])
+        # the first moved point of each row; a last column of True stands for
+        # the degree, which argmax finds in an identity row
+        moved = np.ones((len(rows), self.degree + 1), dtype=bool)
+        np.not_equal(rows, self.identity, out=moved[:, :-1])
+        levels = moved.argmax(axis=1)
+        if isinstance(perms, np.ndarray) and perms.ndim == 1:
+            return rows[0], int(levels[0])
+        return rows, levels
 
-    def _close(self, start: int) -> None:
-        """Restore the chain invariant from ``start`` back up to level 0:
-        at each level the transversal spans the orbit of the base point under
-        that level's generators, and every Schreier generator sifts to the
-        identity through the deeper levels.  A pair (point, generator) is
-        tested once, when the generator is new to the point."""
-        level = start
+    def add_generator(self, *perms: np.ndarray) -> None:
+        """Add generators, then close the chain once."""
+        if not perms:
+            return
+        # the residues against the chain as the call found it: with the chain
+        # they generate what the permutations do
+        residues, levels = self.sift(perms)
+        deepest = -1
+        for residue, level in zip(residues, levels.tolist()):
+            if level < self.degree:
+                self._add(residue, 0, level)
+                deepest = max(deepest, level)
+        level = deepest
         while level >= 0:
-            transversal = self.transversals[level]
-            inverses = self.inverses[level]
-            points = self.points[level]
-            tested = self.tested[level]
-            gens = self.gens[level]
-            deeper = -1  # the level a residue was added down to
-            i = 0
-            while i < len(points) and deeper < 0:
-                pt = points[i]
-                rep = transversal[pt]
-                while tested[i] < len(gens) and deeper < 0:
-                    g = gens[tested[i]]
-                    tested[i] += 1
-                    img = int(g[pt])
-                    comp = g[rep]  # apply rep, then g
-                    if img not in transversal:
-                        transversal[img] = comp
-                        inverses[img] = np.empty_like(comp)
-                        inverses[img][comp] = self.identity
-                        points.append(img)
-                        tested.append(0)
-                        continue
-                    # Schreier generator: transversal[img]^-1 after comp
-                    s = comp if img == level else inverses[img][comp]
-                    residue, lev = self.sift(s, start=level)
-                    if lev < self.degree:
-                        for b in range(level + 1, lev + 1):
-                            self.gens[b].append(residue)
-                        deeper = lev
-                i += 1
-            level = deeper if deeper >= 0 else level - 1
+            failed = self._visit(level)
+            level = failed if failed >= 0 else level - 1
+
+    def _add(self, perm: np.ndarray, lo: int, hi: int) -> None:
+        """Store ``perm``, which fixes 0..hi-1, as a generator of levels
+        lo..hi."""
+        k = len(self.perms)
+        self.perms.append(perm)
+        self.lists.append(perm.tolist())
+        for b in range(lo, hi + 1):
+            if self.levels[b] is None:
+                self.levels[b] = _Level(b)
+            self.levels[b].gens.append(k)
+
+    def _visit(self, level: int) -> int:
+        """Test the pending Schreier generators of ``level``; returns the
+        level the first failing one's residue was added down to, or -1."""
+        lv = self.levels[level]
+        if lv is None:
+            return -1
+        if lv.closed < len(lv.gens):
+            self._extend_orbit(lv)
+        points, gens = lv.pending
+        if points and len(lv.stack) < len(lv.gens):
+            lv.stack = np.array([self.perms[g] for g in lv.gens])
+        chunk = max(1, _BLOCK_ENTRIES // self.degree)
+        for s in range(0, len(points), chunk):
+            p, j = np.array(points[s:s + chunk]), np.array(gens[s:s + chunk])
+            comp = _after(lv.stack, j, lv.reps[p])  # rep, then the generator
+            block = _after(lv.invs, lv.pos[comp[:, level]], comp)
+            del comp  # an index now; freed before the block is sifted
+            residues, levels = self.sift(block, level + 1)
+            failed = levels < self.degree
+            if failed.any():
+                # only the first failing row's residue is added; the pairs
+                # after it stay pending
+                r = int(failed.argmax())
+                del points[:s + r + 1], gens[:s + r + 1]
+                at = int(levels[r])
+                self._add(residues[r].copy(), level + 1, at)
+                return at
+        points.clear()
+        gens.clear()
+        return -1
+
+    def _extend_orbit(self, lv: _Level) -> None:
+        """Close the orbit under every generator of the level, breadth first,
+        and queue each new (point, generator) pair that is not a tree edge.
+        Each new point's representative is its tree generator after its
+        parent's."""
+        ng = len(lv.gens)
+        lists = [self.lists[g] for g in lv.gens]
+        points, index = lv.points, lv.index
+        pending_points, pending_gens = lv.pending
+        k0 = len(points)
+        base = points[0]
+        parent, via = [], []  # the tree edge that reached each new point
+        i = 0
+        while i < len(points):
+            pt = points[i]
+            for j in range(lv.closed if i < k0 else 0, ng):
+                img = lists[j][pt]
+                if img not in index:
+                    index[img] = len(points)
+                    points.append(img)
+                    parent.append(i)
+                    via.append(j)
+                elif i or img != base:
+                    # the base point under a generator that fixes it gives
+                    # that generator, one of the next level's
+                    pending_points.append(i)
+                    pending_gens.append(j)
+            i += 1
+        lv.closed = ng
+        k = len(points)
+        if k == k0:
+            return
+        n = self.degree
+        # sized once the new points are known; the inverses are only ever
+        # looked up, never used as an index, so they are kept at half width
+        reps = np.empty((k, n), dtype=np.int64)
+        invs = np.empty((k, n), dtype=np.int32)
+        if lv.reps is None:
+            reps[0] = invs[0] = self.identity
+            lv.pos = np.full(n, -1, dtype=np.int64)
+            lv.pos[base] = 0
+            insort(self.bases, base)
+        else:
+            reps[:k0], invs[:k0] = lv.reps, lv.invs
+        lv.pos[points[k0:]] = np.arange(k0, k)
+        gens = [self.perms[g] for g in lv.gens]
+        for q, (i, j) in enumerate(zip(parent, via), k0):
+            reps[q] = gens[j][reps[i]]
+            invs[q][reps[q]] = self.identity
+        lv.reps, lv.invs = reps, invs

@@ -17,11 +17,12 @@ is counted from them: the skipped ranks count as examined.
 
 Whole size matrices are skipped as well, by their offset, when they hold
 no representation.  Under POSR, one with |T_ij| + |T_ji| > |G| for some
-i < j holds no oriented candidate.  When |G| >= 2, one whose support (i - j
-when T_ij or T_ji is nonempty) is disconnected holds none either: the parts
-of each component of the support are a union of components of the digraph,
-so a nontrivial right translation on one of them, the identity elsewhere,
-is an automorphism outside R(G).
+i < j holds no oriented candidate; such matrices go by arithmetic, a whole
+row prefix at a time, as the size matrices are walked.  When |G| >= 2, one
+whose support (i - j when T_ij or T_ji is nonempty) is disconnected holds
+none either: the parts of each component of the support are a union of
+components of the digraph, so a nontrivial right translation on one of
+them, the identity elsewhere, is an automorphism outside R(G).
 
 Orbit pruning.  For sigma in Aut(G) and h = (e, h_1, ..., h_{m-1}), the
 vertex map (i, x) -> (i, h_i sigma(x)) is an isomorphism from Cay(T) onto
@@ -116,23 +117,31 @@ def _size_layout(n: int, m: int, valency: int):
     of each, and ``count(i, room)``, the number of candidates whose rows from
     i on have the column sums ``room``, memoised on the sorted room of the
     columns < i and of the columns >= i: permuting the former, or the latter
-    together with their rows, does not change it."""
+    together with their rows, does not change it.
+
+    The third value is a one-element list, the ``time.monotonic`` deadline of
+    the count under way: past it, read at each value not yet memoised,
+    ``count`` raises ``_Stop``.  What was memoised stays, so a later count
+    picks up where this one stopped."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     every = [(r, prod(comb(n, k) for k in r)) for r in _compositions(m, valency, min(n, valency))]
     rows = [[(r, w) for r, w in every if not r[i]] for i in range(m)]
+    deadline = [inf]
 
     @lru_cache(maxsize=None)
     def sorted_count(i: int, room: tuple) -> int:
         if i == m:
             # every row sums to valency, so the room left is all zero
             return 1
+        if deadline[0] < inf and time.monotonic() > deadline[0]:
+            raise _Stop(0)
         return sum(w * count(i + 1, rest) for r, w, rest in _fits(rows[i], room))
 
     def count(i: int, room: tuple) -> int:
         return sorted_count(i, (*sorted(room[:i]), *sorted(room[i:])))
 
-    return rows, count
+    return rows, count, deadline
 
 
 def _fits(rows: list[tuple], room: tuple) -> Iterator[tuple]:
@@ -143,13 +152,16 @@ def _fits(rows: list[tuple], room: tuple) -> Iterator[tuple]:
             yield r, w, rest
 
 
-def _size_matrices(n: int, m: int, valency: int, start: int = 0) -> Iterator[tuple]:
+def _size_matrices(n: int, m: int, valency: int, start: int = 0,
+                   oriented: bool = False) -> Iterator[tuple]:
     """(sizes, offset) for each m x m nonnegative integer matrix with zero
     diagonal, entries <= n and every row and column sum equal to `valency`,
     lexicographic over the flattened matrix; offset is the rank of the
     matrix's first candidate.  Matrices whose candidates all rank below
-    ``start`` are skipped by arithmetic, whole row prefixes at a time."""
-    rows, count = _size_layout(n, m, valency)
+    ``start`` are skipped by arithmetic, whole row prefixes at a time; with
+    ``oriented``, so are those with |T_ij| + |T_ji| > n for some i < j, which
+    hold no oriented candidate, as soon as row j is placed."""
+    rows, count, _ = _size_layout(n, m, valency)
 
     def rec(i: int, room: tuple, prefix: tuple, offset: int, scale: int):
         """The matrices below the rows ``prefix``, whose cells have ``scale``
@@ -159,17 +171,12 @@ def _size_matrices(n: int, m: int, valency: int, start: int = 0) -> Iterator[tup
             return
         for r, w, rest in _fits(rows[i], room):
             size = scale * w * count(i + 1, rest)
-            if size and offset + size > start:
+            if (size and offset + size > start
+                    and not (oriented and any(prefix[j * m + i] + r[j] > n for j in range(i)))):
                 yield from rec(i + 1, rest, prefix + r, offset, scale * w)
             offset += size
 
     yield from rec(0, (valency,) * m, (), 0, 1)
-
-
-def _orientable(sizes: tuple, m: int, n: int) -> bool:
-    """False when some |T_ij| + |T_ji| > n: then T_ij meets inv(T_ji)."""
-    return all(sizes[i * m + j] + sizes[j * m + i] <= n
-               for i in range(m) for j in range(i + 1, m))
 
 
 def _connected(sizes: tuple, m: int) -> bool:
@@ -213,12 +220,13 @@ def enumerate_connection_sets(
     meets inv(T_ji); with ``auts`` (Aut(g)), a map of ``OrbitFilter`` tied
     on the cells before it makes the cell smaller.  A whole size matrix is
     skipped by its offset when it holds no candidate the search wants: with
-    ``require_oriented``, one with |T_ij| + |T_ji| > |G| for some i < j;
-    with ``require_connected``, one whose support is disconnected.  Ranks
-    below ``start`` are skipped by arithmetic, and the walk ends before rank
+    ``require_oriented``, one with |T_ij| + |T_ji| > |G| for some i < j
+    (with every matrix that shares the row prefix that shows it); with
+    ``require_connected``, one whose support is disconnected.  Ranks below
+    ``start`` are skipped by arithmetic, and the walk ends before rank
     ``stop``.  Past ``deadline``, a ``time.monotonic`` reading checked once
-    per choice and once per skipped size matrix, it yields (r, None), r the
-    first rank not passed, and ends."""
+    per choice and once per disconnected size matrix, it yields (r, None), r
+    the first rank not passed, and ends."""
     if valency < 1:
         raise InvalidParameter("valency must be >= 1")
     n = g.order
@@ -307,11 +315,10 @@ def enumerate_connection_sets(
         yield from level(0, offset)
 
     try:
-        for sizes, offset in _size_matrices(n, m, valency, start):
+        for sizes, offset in _size_matrices(n, m, valency, start, require_oriented):
             if offset >= end:
                 return
-            if (require_oriented and not _orientable(sizes, m, n)
-                    or require_connected and not _connected(sizes, m)):
+            if require_connected and not _connected(sizes, m):
                 if deadline is not None and time.monotonic() > deadline:
                     raise _Stop(max(offset, start))
                 continue
@@ -324,10 +331,18 @@ def enumerate_connection_sets(
             yield halt.args[0], None
 
 
-def count_connection_sets(g: GroupTable, m: int, valency: int) -> int:
-    """The number of candidates ``enumerate_connection_sets`` ranks."""
-    _, count = _size_layout(g.order, m, valency)
-    return count(0, (valency,) * m)
+def count_connection_sets(g: GroupTable, m: int, valency: int,
+                          deadline: float | None = None) -> int | None:
+    """The number of candidates ``enumerate_connection_sets`` ranks, or None
+    past ``deadline``, a ``time.monotonic`` reading."""
+    _, count, limit = _size_layout(g.order, m, valency)
+    limit[0] = inf if deadline is None else deadline
+    try:
+        return count(0, (valency,) * m)
+    except _Stop:
+        return None
+    finally:
+        limit[0] = inf
 
 
 def _candidate_is_rep(g: GroupTable, conn: ConnectionSets, kind: str, valency: int,
@@ -409,8 +424,11 @@ def exists_mposr(
     if kind not in ("POSR", "PDR"):
         raise InvalidParameter(f"unknown kind {kind!r}")
     t0 = time.monotonic()
-    total = count_connection_sets(g, m, valency)
+    deadline = None if time_budget is None else t0 + time_budget
     start = max(cursor_start, 0)
+    total = count_connection_sets(g, m, valency, deadline)
+    if total is None:
+        return SearchOutcome("Aborted", None, 0, time.monotonic() - t0, resume_cursor=start)
     stop = total if cursor_stop is None else max(start, min(total, cursor_stop))
     examined = 0
 
@@ -433,8 +451,7 @@ def exists_mposr(
     for rank, conn in enumerate_connection_sets(
             g, m, valency, require_oriented=kind == "POSR" and not naive, start=start,
             auts=None if naive else group_automorphisms(g), stop=stop,
-            require_connected=not naive and g.order >= 2,
-            deadline=None if time_budget is None else t0 + time_budget):
+            require_connected=not naive and g.order >= 2, deadline=deadline):
         if conn is None:
             advance(rank - start)
             return SearchOutcome("Aborted", None, examined, time.monotonic() - t0,

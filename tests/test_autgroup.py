@@ -230,33 +230,51 @@ def test_disjoint_triangles_few_generators(k):
 
 @pytest.mark.parametrize("name", ["empty12", "triangles6"])
 def test_schreier_generators_sifted_once(monkeypatch, name):
-    # one sift per add_generator, and at most one per (level, orbit point,
-    # level generator) triple: a Schreier generator is never tested twice
+    # the block sifter gets one row per generator added and at most one per
+    # (level, orbit point, level generator) triple: a Schreier generator is
+    # never formed twice
     if name == "empty12":
         d, order = Digraph(12, []), factorial(12)
     else:
         perm = list(range(18))
         random.Random(name).shuffle(perm)
         d, order = relabel(disjoint_triangles(6), perm), 3 ** 6 * factorial(6)
-    chains, counts = [], {"add_generator": 0, "sift": 0}
+    chains, counts = [], {"generators": 0, "rows": 0}
     add_generator, sift = StabilizerChain.add_generator, StabilizerChain.sift
 
-    def counted_add_generator(self, perm):
-        counts["add_generator"] += 1
+    def counted_add_generator(self, *perms):
+        counts["generators"] += len(perms)
         if self not in chains:
             chains.append(self)
-        return add_generator(self, perm)
+        return add_generator(self, *perms)
 
-    def counted_sift(self, perm, start=0):
-        counts["sift"] += 1
-        return sift(self, perm, start)
+    def counted_sift(self, perms, start=0):
+        counts["rows"] += len(np.atleast_2d(perms))
+        return sift(self, perms, start)
 
     monkeypatch.setattr(StabilizerChain, "add_generator", counted_add_generator)
     monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
     assert automorphism_group(d).order == order
     (chain,) = chains
-    pairs = sum(len(t) * len(g) for t, g in zip(chain.transversals, chain.gens))
-    assert counts["sift"] <= counts["add_generator"] + pairs
+    pairs = sum(len(lv.points) * len(lv.gens) for lv in chain.levels if lv is not None)
+    assert counts["rows"] <= counts["generators"] + pairs
+
+
+def test_one_add_generator_call_per_group(monkeypatch):
+    # automorphism_group hands the chain every generator at once, so the
+    # chain is closed once, for a rigid digraph too
+    calls = []
+    add_generator = StabilizerChain.add_generator
+
+    def counted(self, *perms):
+        calls.append(len(perms))
+        return add_generator(self, *perms)
+
+    monkeypatch.setattr(StabilizerChain, "add_generator", counted)
+    for d in (Digraph(12, []), disjoint_triangles(4), Digraph(3, [(0, 1), (1, 2)])):
+        calls.clear()
+        res = automorphism_group(d)
+        assert calls == [len(res.generators)]
 
 
 def test_order_mismatch_raises(monkeypatch):

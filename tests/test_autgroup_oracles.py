@@ -181,3 +181,35 @@ def test_stabilizer_chain_matches_sympy():
             assert np.array_equal(residue, np.arange(n)) == member
             members[member] += 1
     assert members[True] and members[False]
+
+
+def test_block_chain_matches_sympy_on_failing_sets():
+    # degree 15-30: many Schreier generators fail to sift, so the first
+    # failing residue of a block is added and closing restarts at its level;
+    # generators given in one call and one at a time build the same group
+    rng = random.Random(2003)
+    grew = 0
+    for _ in range(100):
+        n = rng.randint(15, 30)
+        gens = [np.array(g, dtype=np.int64) for g in random_generator_set(rng, n)]
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens])
+        at_once, one_by_one = StabilizerChain(n), StabilizerChain(n)
+        at_once.add_generator(*gens)
+        for g in gens:
+            one_by_one.add_generator(g)
+        moved = sum(bool((g != np.arange(n)).any()) for g in gens)
+        grew += len(at_once.perms) > moved
+        for chain in (at_once, one_by_one):
+            assert chain.order() == group.order()
+            for _ in range(3):
+                x = rng.sample(range(n), n)
+                if rng.random() < 0.5:
+                    x = list(np.arange(n))
+                    for g in rng.choices(gens, k=rng.randint(1, 5)):
+                        x = [int(g[v]) for v in x]
+                residue, level = chain.sift(np.array(x, dtype=np.int64))
+                member = group.contains(combinatorics.Permutation(x))
+                assert np.array_equal(residue, np.arange(n)) == member
+                assert (level == n) == member
+    # the residues of failing Schreier generators were added
+    assert grew

@@ -131,6 +131,29 @@ def test_size_matrices_match_brute_force(n, m):
             assert list(search._size_matrices(n, m, 3, start)) == layout[k:]
 
 
+@pytest.mark.parametrize("token, m", [("cyclic:2", 4), ("cyclic:2", 5), ("cyclic:2", 6),
+                                      ("klein4", 3), ("klein4", 4)])
+def test_oriented_size_matrices_skip_by_prefix(token, m):
+    # the oriented walk drops whole row prefixes with |T_ij| + |T_ji| > |G|
+    # and yields exactly the orientable matrices of the full walk, at the
+    # same offsets, from any start; compared on the first 1500 (cyclic:2
+    # m=6 has 865,370 size matrices, 183,610 of them orientable)
+    n = group_from_token(token).order
+
+    def orientable(start):
+        return (layout for layout in search._size_matrices(n, m, 3, start)
+                if all(layout[0][i * m + j] + layout[0][j * m + i] <= n
+                       for i in range(m) for j in range(i + 1, m)))
+
+    def oriented(start):
+        return search._size_matrices(n, m, 3, start, oriented=True)
+
+    first = list(islice(oriented(0), 1500))
+    assert first == list(islice(orientable(0), 1500))
+    for _, offset in first[::len(first) // 8 or 1]:
+        assert list(islice(oriented(offset), 200)) == list(islice(orientable(offset), 200))
+
+
 @pytest.mark.parametrize("token, m", ENUM_CASES)
 def test_pruned_enumeration_is_the_oriented_subsequence(token, m):
     g = group_from_token(token)
@@ -323,16 +346,52 @@ def test_abort_resumes_at_the_first_unexamined_rank(monkeypatch):
             assert (rest.status, rest.witness) == (whole.status, whole.witness)
 
 
-@pytest.mark.parametrize("token, m", [("cyclic:2", 10), ("cyclic:2", 11)])
+@pytest.mark.parametrize("token, m", [("cyclic:3", 10), ("cyclic:2", 14)])
 def test_time_budget_bounds_a_large_search(token, m):
     # the count and the walk of a cell with billions of ranks stay inside
-    # the budget; neither cell finds its first witness within it
+    # the budget; neither cell finds its first witness within it (the walk
+    # runs out on cyclic:3, the count on cyclic:2)
+    search._size_layout.cache_clear()
     g = group_from_token(token)
     t0 = time.monotonic()
     out = exists_mposr(g, m, 3, "POSR", time_budget=1)
     assert time.monotonic() - t0 < 2
     assert out.status == "Aborted"
     assert out.resume_cursor == out.candidates_examined
+
+
+def test_count_is_under_the_time_budget(monkeypatch):
+    # the candidate count alone takes seconds here (about 2 s on a 2-vCPU
+    # VM); it stops at the deadline, and the search resumes where it stopped
+    search._size_layout.cache_clear()
+    g = group_from_token("klein4")
+    t0 = time.monotonic()
+    out = exists_mposr(g, 14, 3, "POSR", time_budget=1)
+    assert time.monotonic() - t0 < 1.5
+    assert out.status == "Aborted"
+    assert out.resume_cursor == out.candidates_examined
+    # on a clock that advances a second per reading, every cursor start
+    # aborts in the count, and resuming from the cursor gives the search
+    # from that start
+    g = group_from_token("cyclic:6")
+    whole = exists_mposr(g, 2, 3, "POSR")
+    monkeypatch.setattr(search, "time", _Clock())
+    for start in (0, 150):
+        search._size_layout.cache_clear()
+        out = exists_mposr(g, 2, 3, "POSR", time_budget=0.5, cursor_start=start)
+        assert (out.status, out.candidates_examined, out.resume_cursor) == ("Aborted", 0, start)
+        rest = exists_mposr(g, 2, 3, "POSR", cursor_start=out.resume_cursor)
+        assert rest.candidates_examined == whole.candidates_examined - start
+        assert (rest.status, rest.witness) == (whole.status, whole.witness)
+
+
+@pytest.mark.parametrize("m", [10, 11])
+def test_cyclic2_posr_found_past_unorientable_prefixes(m):
+    # with whole non-orientable row prefixes skipped by arithmetic, the first
+    # 10- and 11-POSR of C_2 are reached at once (exists_mposr re-checks
+    # each witness with verify_witness before returning it)
+    out = exists_mposr(group_from_token("cyclic:2"), m, 3, "POSR", time_budget=30)
+    assert out.status == "FoundWitness"
 
 
 def test_progress_reporting():
