@@ -2,14 +2,27 @@
 
 The solver is classic individualization-refinement: refine a uniform
 coloring to its coarsest equitable refinement, branch on the first smallest
-non-singleton color class, and compare each discrete leaf against the first
-one.  A node's coloring is equitable, so a child, the node's coloring with
-one vertex moved to the new color ``num_colors``, is refined from that
-singleton only (``kernels.refine_partition`` with ``splitters``); the
-numbering is still a function of the digraph and the coloring, so leaves
-and node invariants compare across branches.  The initial coloring is
-always uniform: part information is never seeded as colors, the solver has
-to rediscover that automorphisms preserve parts.
+non-singleton color class, and follow the first child down to a discrete
+leaf, the first path.  A node's coloring is equitable, so a child, the
+node's coloring with one vertex moved to the new color ``num_colors``, is
+refined from that singleton only (``kernels.refine_partition`` with
+``splitters``); the numbering is still a function of the digraph and the
+coloring, so colorings and node invariants compare across branches.  The
+initial coloring is always uniform: part information is never seeded as
+colors, the solver has to rediscover that automorphisms preserve parts.
+
+Every node off the first path whose invariant matches the first path's at
+its depth, a leaf or not, tries one candidate permutation (the sparse
+candidate of Darga, Liffiton, Sakallah and Markov 2008): it maps each cell
+of the first path's coloring at that depth onto the node's cell of the same
+color, fixes the vertices whose color agrees, and matches the rest in
+(color, label) order.  At a leaf it is the map from the first leaf.  An
+individualized vertex is a singleton whose color is fixed by its depth, so
+the candidate maps the first path's prefix onto the node's prefix; an
+automorphism found at a node therefore does what one found at a leaf below
+it would, and the search backjumps.  If it is not an automorphism, an inner
+node descends.  On S_n-like groups the second child of each first-path node
+is certified at once, so the search takes about 2n nodes instead of n²/2.
 
 Every node of the first path prunes its children by known orbits (McKay
 1981): a child in the orbit of an explored sibling is skipped.  Search is
@@ -108,14 +121,16 @@ class _Orbits:
 
 
 class _SearchState:
-    __slots__ = ("d", "n", "first_leaf", "trace", "gens", "orbits", "seeded",
+    __slots__ = ("d", "n", "first_done", "trace", "first_path", "gens", "orbits", "seeded",
                  "orbit_sizes", "nodes", "budget", "stop_after_first")
 
     def __init__(self, d: Digraph, budget: int, stop_after_first: bool, part_size: int = 1):
         self.d = d
         self.n = d.n
-        self.first_leaf = None
-        self.trace: dict[int, tuple] = {}
+        self.first_done = False  # the first leaf has been reached
+        # per depth of the first path, its node invariant and its coloring
+        self.trace: list[tuple] = []
+        self.first_path: list[np.ndarray] = []
         self.gens: list[np.ndarray] = []
         # orbits of the found generators, which fix every first-path prefix
         # still being explored
@@ -150,6 +165,20 @@ def _individualize(colors: np.ndarray, num_colors: int, v: int) -> np.ndarray:
     return out
 
 
+def _candidate(first: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """The one permutation tried at a node: it maps each cell of the first
+    path's coloring ``first`` at this depth onto the cell of the same color
+    in ``colors``, fixes every vertex whose color is the same in both, and
+    matches the other vertices in (color, label) order.  Both colorings
+    have the same class sizes, so each color has as many of those vertices
+    in one coloring as in the other."""
+    perm = np.arange(len(colors))
+    moved = (first != colors).nonzero()[0]
+    perm[moved[np.argsort(first[moved], kind="stable")]] = \
+        moved[np.argsort(colors[moved], kind="stable")]
+    return perm
+
+
 def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int) -> bool:
     """Explore the node with coloring ``colors``; returns True when the search
     should stop early.
@@ -158,35 +187,40 @@ def _search(state: _SearchState, colors: np.ndarray, num_colors: int, depth: int
     under the seeded orbits at depth 0, deeper under the orbits of the
     generators found so far, which all fix this node's prefix.  When it
     finishes, those generators generate the prefix's pointwise stabilizer,
-    and the orbit size of its first child is recorded."""
+    and the orbit size of its first child is recorded.
+
+    Every other node whose invariant matches the first path's at its depth
+    tries one candidate (``_candidate``); if it is an automorphism it is
+    recorded and the search backjumps, as from a leaf."""
     state.nodes += 1
     if state.nodes > state.budget:
         raise BudgetExceeded(f"automorphism search exceeded {state.budget} nodes")
     sizes = _class_sizes(colors, num_colors)
     inv = (num_colors, sizes)
-    if state.first_leaf is None:
-        state.trace[depth] = inv
-    elif state.trace.get(depth) != inv:
-        return False  # node invariant mismatch with the first path
-    if num_colors == state.n:
-        if state.first_leaf is None:
-            state.first_leaf = colors.copy()
+    on_first_path = not state.first_done
+    if on_first_path:
+        state.trace.append(inv)
+        state.first_path.append(colors)
+        if num_colors == state.n:
+            state.first_done = True
             return False
-        # candidate: map vertex with color c in the first leaf to the vertex
-        # with color c here
-        perm = np.empty(state.n, dtype=np.int64)
-        pos_here = np.empty(state.n, dtype=np.int64)
-        pos_here[colors] = np.arange(state.n)
-        perm[:] = pos_here[state.first_leaf]
-        if not np.array_equal(perm, np.arange(state.n)) and is_digraph_automorphism(state.d, perm):
+    elif state.trace[depth] != inv:
+        return False  # node invariant mismatch with the first path
+    else:
+        # the node's prefix differs from the first path's, and individualized
+        # vertices are singletons of equal colors, so the candidate maps one
+        # prefix onto the other and is never the identity
+        perm = _candidate(state.first_path[depth], colors)
+        if is_digraph_automorphism(state.d, perm):
             if state.stop_after_first:
                 state.gens.append(perm)
                 return True
             state._record(perm)
-        return False
+            return False
+        if num_colors == state.n:
+            return False
     cell = _target_cell(sizes)
     members = np.nonzero(colors == cell)[0].tolist()
-    on_first_path = state.first_leaf is None
     gens_before = len(state.gens)
     orbits = state.seeded if depth == 0 else state.orbits
     processed: list[int] = []

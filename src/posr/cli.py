@@ -8,6 +8,7 @@ claim failed, but one was skipped because a budget ran out).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,12 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+_TIERS = ("default", "extended")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="posr",
         description="Verify, search, and build m-partite Cayley digraph representations.",
@@ -32,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")
-    p.add_argument("--tier", choices=["default", "extended"],
-                   default=os.environ.get("POSR_TIER", "default"))
+    p.add_argument("--tier", choices=_TIERS, default=None,
+                   help="default: $POSR_TIER when set, else default")
     p.add_argument("--output", choices=["json", "table"], default="table")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="per search: IR nodes of each automorphism-solver call, "
@@ -77,7 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    budget = SuiteBudget(tier=args.tier, node_budget=args.node_budget,
+    # the environment is read per call, not when the shared parser was built
+    tier = args.tier or os.environ.get("POSR_TIER", "default")
+    if tier not in _TIERS:
+        print(f"error: POSR_TIER={tier!r} is not one of {', '.join(_TIERS)}", file=sys.stderr)
+        return 2
+    budget = SuiteBudget(tier=tier, node_budget=args.node_budget,
                          time_budget_per_claim=args.time_budget)
     report = verify_all(budget)
     if args.output == "json":

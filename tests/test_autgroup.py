@@ -217,6 +217,83 @@ def test_empty_digraph_pruned_at_every_level(n):
     assert res.order == factorial(n)
 
 
+@pytest.mark.parametrize("n", [24, 40])
+def test_empty_digraph_candidate_at_each_sibling(n):
+    # the second child of each first-path node is certified by its own
+    # candidate, a transposition, so the whole search takes about 2n nodes
+    res = automorphism_group(Digraph(n, []), node_budget=2 * n)
+    assert res.order == factorial(n)
+
+
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_disjoint_triangles_linear_nodes(k):
+    # k - 1 first-path nodes whose second child is certified at once, and
+    # the last triangle's rotations at the leaves
+    d = disjoint_triangles(k)
+    for seed in range(20):
+        perm = list(range(3 * k))
+        random.Random(f"triangles:{seed}").shuffle(perm)
+        res = automorphism_group(relabel(d, perm), node_budget=3 * k + 3)
+        assert res.order == 3 ** k * factorial(k)
+
+
+def test_candidate_is_the_leaf_map_at_leaves():
+    # at a discrete node the candidate maps the vertex of color c in the
+    # first leaf to the vertex of color c here
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 30):
+        first, here = rng.permutation(n), rng.permutation(n)
+        pos_here = np.empty(n, dtype=np.int64)
+        pos_here[here] = np.arange(n)
+        assert np.array_equal(autgroup._candidate(first, here), pos_here[first])
+
+
+def test_candidate_maps_cells_and_fixes_agreeing_vertices():
+    first = np.array([0, 1, 1, 2, 2, 2, 0])
+    here = np.array([1, 0, 1, 2, 2, 2, 0])
+    perm = autgroup._candidate(first, here)
+    assert np.array_equal(here[perm], first)
+    assert perm.tolist() == [1, 0, 2, 3, 4, 5, 6]
+    # two moved vertices of one color keep their label order
+    first, here = np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0])
+    assert autgroup._candidate(first, here).tolist() == [2, 3, 0, 1]
+
+
+def test_semiregular_rep_shortcut_agreement_with_inner_candidates(monkeypatch):
+    # sparse connection sets give large groups, where the candidate of a
+    # node that is not a leaf is an automorphism; ``_search`` tests each
+    # candidate right after building it, which pairs the two wrappers
+    inner, accepts = [], [0]
+    candidate, test = autgroup._candidate, autgroup.is_digraph_automorphism
+
+    def logged_candidate(first, colors):
+        inner.append(int(colors.max()) + 1 < len(colors))
+        return candidate(first, colors)
+
+    def logged_test(d, perm):
+        result = test(d, perm)
+        accepts[0] += inner.pop() and result
+        return result
+
+    monkeypatch.setattr(autgroup, "_candidate", logged_candidate)
+    monkeypatch.setattr(autgroup, "is_digraph_automorphism", logged_test)
+    rng = random.Random(19)
+    tokens = ["cyclic:2", "cyclic:5", "cyclic:7", "klein4", "dihedral:6", "quaternion8"]
+    verdicts = set()
+    for _ in range(60):
+        g = group_from_token(rng.choice(tokens))
+        m = rng.choice([2, 3, 4])
+        sets = [[rng.sample(range(g.order), rng.choice([0, 0, 0, 1, 2]) if i != j else
+                            rng.choice([0, 1])) for j in range(m)] for i in range(m)]
+        pd = build_cayley(g, ConnectionSets.from_lists(m, sets))
+        before = accepts[0]
+        full = is_semiregular_rep(pd, g)
+        assert aut_is_translations(pd) == full.is_representation
+        if accepts[0] > before:
+            verdicts.add(full.is_representation)
+    assert verdicts == {False}  # fired, on digraphs whose group is larger
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
 def test_disjoint_triangles_few_generators(k):
     d = disjoint_triangles(k)

@@ -77,6 +77,32 @@ def test_symmetric_inputs_match_oracles(name, n, arcs, order):
     assert check_against_oracles(n, relabelled(n, arcs, rng), count_limit=0) == order
 
 
+def candidate_inputs():
+    """Inputs for the candidate at off-path nodes: the four above, where it
+    certifies inner nodes, and three whose candidates often fail, so the
+    search descends below them."""
+    q7 = [(v, v ^ (1 << b)) for v in range(128) for b in range(7)]
+    squares = {x * x % 43 for x in range(1, 43)}
+    paley43 = [(u, v) for u in range(43) for v in range(43) if (v - u) % 43 in squares]
+    torus6 = [(6 * r + c, 6 * ((r + dr) % 6) + (c + dc) % 6) for r in range(6)
+              for c in range(6) for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))]
+    return symmetric_inputs() + [
+        ("q7", 128, q7, 2 ** 7 * factorial(7)),
+        ("paley43", 43, paley43, 43 * 21),
+        ("torus6x6", 36, torus6, (2 * 6) ** 2 * 2),
+    ]
+
+
+@pytest.mark.parametrize("name,n,arcs,order", candidate_inputs(),
+                         ids=[x[0] for x in candidate_inputs()])
+def test_candidate_inputs_match_sympy(name, n, arcs, order):
+    # every generator is an automorphism and sympy's order of the group
+    # they generate is |Aut|, so they generate Aut, under every relabelling
+    rng = random.Random(f"candidate:{name}")
+    for _ in range(3):
+        assert check_against_oracles(n, relabelled(n, arcs, rng), count_limit=0) == order
+
+
 @pytest.mark.skipif(os.environ.get("POSR_EXTENDED") != "1",
                     reason="extended tier (set POSR_EXTENDED=1)")
 @pytest.mark.parametrize("name,n,arcs,order", symmetric_inputs()[2:],

@@ -255,3 +255,35 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, na
         argv = ["build", "--group", "cyclic:7", "--m", "2", "--sets", str(path)]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def test_posr_tier_read_at_each_verify(monkeypatch, capsys):
+    # the parser is built once per process, so the tier's environment
+    # default must be read when verify runs, not when the parser is built
+    assert cli.build_parser() is cli.build_parser()
+    names = {"cyclic7-m2-posr", "c4_semidirect_c4-m2-posr-none"}
+    load = catalog.load_claims
+    monkeypatch.setattr(catalog, "load_claims",
+                        lambda: [c for c in load() if c.name in names])
+    monkeypatch.setenv("POSR_TIER", "extended")
+    assert run(["verify", "--output", "json"]) == 1  # the extended claim is refuted
+    monkeypatch.setenv("POSR_TIER", "default")
+    assert run(["verify", "--output", "json"]) == 0
+    assert run(["verify", "--tier", "extended", "--output", "json"]) == 1  # the flag wins
+    capsys.readouterr()
+    monkeypatch.delenv("POSR_TIER")
+    assert run(["verify", "--output", "json"]) == 0
+    by_name = {r["name"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    assert by_name["c4_semidirect_c4-m2-posr-none"]["detail"] == "extended tier not selected"
+
+
+def test_unknown_posr_tier_is_usage_error(monkeypatch, capsys):
+    def no_verify(budget):
+        raise AssertionError("verify ran with an unknown tier")
+
+    monkeypatch.setattr(cli, "verify_all", no_verify)
+    monkeypatch.setenv("POSR_TIER", "bogus")
+    assert run(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert "POSR_TIER='bogus'" in captured.err and captured.out == ""
+    assert run(["verify", "--tier", "bogus"]) == 2  # argparse checks the flag
